@@ -70,4 +70,10 @@ func TestCacheCrossProcess(t *testing.T) {
 	if warmDisk != warmHits {
 		t.Fatalf("warm run: %d of %d hits from disk; a fresh process has no memory layer to hit", warmDisk, warmHits)
 	}
+	// Every cell resolves before any input work, so a fully cached run
+	// never reaches the compiled-trace store.
+	noSlabs := regexp.MustCompile(`slabs: 0 hits \(0 mem, 0 disk\), 0 misses, 0 converted, 0 prefetched, 0 corrupt, 0\.0 MB mapped`)
+	if !noSlabs.Match(warmErr) {
+		t.Fatalf("warm run touched the slab store:\n%s", warmErr)
+	}
 }

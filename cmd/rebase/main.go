@@ -102,7 +102,7 @@ func main() {
 
 func run() (code int) {
 	var (
-		exp        = flag.String("exp", "all", "experiment: table1, fig1..fig5, table2, table3, ablation, char, or all")
+		exp        = flag.String("exp", "all", "comma-separated experiments: table1, fig1..fig5, table2, table3, ablation, char, or all")
 		instrs     = flag.Int("instructions", 150000, "instructions per trace")
 		warmup     = flag.Uint64("warmup", 50000, "warm-up instructions per trace")
 		step       = flag.Int("step", 1, "use every step-th trace of each suite (1 = all)")
@@ -153,6 +153,9 @@ func run() (code int) {
 	}
 	if *step < 1 {
 		return fail("-step must be >= 1 (got %d)", *step)
+	}
+	if err := report.ValidateExp(*exp); err != nil {
+		return fail("-exp: %v", err)
 	}
 	if *sample {
 		if *samplePeriod == 0 {
@@ -353,6 +356,13 @@ func run() (code int) {
 	}
 	skipCats, sampleCats := tel.Skip, tel.Sample
 	elapsed := time.Since(start)
+	if cfg.Exp != nil {
+		// Flush pending cells so the trailer and -bench-json report what
+		// this run actually persisted (Close would flush them anyway).
+		if err := cfg.Exp.Flush(); err != nil {
+			fmt.Fprintf(os.Stderr, "rebase: experiment store flush: %v\n", err)
+		}
+	}
 	if !*quiet {
 		if len(skipCats) > 0 {
 			parts := make([]string, 0, len(skipCats))
@@ -382,11 +392,6 @@ func run() (code int) {
 		}
 		printSlabStats(cfg.Slabs)
 		if cfg.Exp != nil {
-			// Flush pending cells so the trailer reports what this run
-			// actually persisted (Close would flush them anyway).
-			if err := cfg.Exp.Flush(); err != nil {
-				fmt.Fprintf(os.Stderr, "rebase: experiment store flush: %v\n", err)
-			}
 			s := cfg.Exp.Stats()
 			fmt.Fprintf(os.Stderr, "exp-store: %d cells appended (%d dup), %d read-back misses, %d blocks written, %d compactions, %d corrupt, %.1f MB written (%s)\n",
 				s.Appends, s.DupSkipped, expMisses, s.BlocksWritten, s.Compactions, s.Corrupt,

@@ -4,14 +4,10 @@ import (
 	"fmt"
 	"io"
 
-	"tracerebase/internal/champtrace"
 	"tracerebase/internal/core"
-	"tracerebase/internal/cvp"
-	"tracerebase/internal/resultcache"
 	"tracerebase/internal/sim"
 	"tracerebase/internal/stats"
 	"tracerebase/internal/synth"
-	"tracerebase/internal/tracestore"
 )
 
 // FrontEndAblationResult quantifies §4.4's closing argument (after Ishii et
@@ -42,111 +38,21 @@ func FrontEndAblation(cfg SweepConfig, suite []synth.IPC1Trace) ([]FrontEndAblat
 		}
 	}
 
-	type key struct {
-		pf        string
-		decoupled bool
-	}
-	ratios := map[key][]float64{}
-
+	// Per trace: the coupled front-end's none baseline and prefetchers,
+	// then the decoupled front-end's. The front-end style is the cell's
+	// variant; the Decoupled bit is already part of the config identity.
 	opts := core.OptionsAll()
+	models := append([]string{"none"}, Table3Prefetchers...)
+	profiles := make([]synth.Profile, len(suite))
+	var cells []cell
 	for ti, trc := range suite {
-		// Generation and conversion are deferred into the first cache
-		// miss; the 18 simulations re-read the shared value slab through
-		// Reset without re-converting or boxing records. With a slab store
-		// the conversion additionally resolves through the store.
-		var src *champtrace.ValuesSource
-		var convStats core.Stats
-		var slab *tracestore.Slab
-		convert := func() error {
-			if src != nil {
-				return nil
-			}
-			generate := func() ([]cvp.Instruction, error) {
-				return trc.Profile.GenerateBatch(cfg.Instructions)
-			}
-			if cfg.Slabs != nil {
-				sl, err := acquireSlab(cfg.Slabs, &trc.Profile, opts, cfg.Instructions, generate)
-				if err != nil {
-					return err
-				}
-				slab = sl
-				convStats = sl.Conv()
-				src = champtrace.NewValuesSource(sl.Records())
-				return nil
-			}
-			instrs, err := generate()
-			if err != nil {
-				return err
-			}
-			recs, cs, err := core.ConvertAllBatch(cvp.NewValuesSource(instrs), opts)
-			if err != nil {
-				return err
-			}
-			convStats = cs
-			src = champtrace.NewValuesSource(recs)
-			return nil
-		}
-		releaseSlab := func() {
-			if slab != nil {
-				slab.Release()
-				slab = nil
-			}
-		}
-		// mkSource re-reads the shared value slab from the start; the
-		// checkpoint warmer and the resume each take a fresh pass, and the
-		// calls are strictly sequential, so Reset-sharing is safe here.
-		mkSource := func() (champtrace.Source, func() core.Stats, func()) {
-			src.Reset()
-			return src, func() core.Stats { return convStats }, func() {}
-		}
-		runOne := func(simCfg sim.Config) (Result, error) {
-			compute := func() (Result, error) {
-				if err := convert(); err != nil {
-					return Result{}, err
-				}
-				if cfg.Checkpoints != nil && simCfg.SamplePeriod > 0 && cfg.Warmup > 0 {
-					// Coupled and decoupled front-ends share WarmIdentity,
-					// so each (trace, prefetcher) pair warms once here.
-					k := checkpointKey(&trc.Profile, opts, simCfg, cfg.Instructions, cfg.Warmup)
-					res, ok, err := runCheckpointed(cfg.Checkpoints, cfg.ckptGate, k, mkSource, simCfg, cfg.Warmup)
-					if err != nil {
-						return Result{}, err
-					}
-					if ok {
-						return res, nil
-					}
-				}
-				src.Reset()
-				st, err := sim.Run(src, simCfg, cfg.Warmup, 0)
-				if err != nil {
-					return Result{}, err
-				}
-				return Result{IPC: st.IPC(), Sim: st, Conv: convStats}, nil
-			}
-			var res Result
-			var err error
-			var k resultcache.Key
-			if cfg.Cache != nil || cfg.Exp != nil {
-				k = cacheKey(&trc.Profile, opts, simCfg, cfg.Instructions, cfg.Warmup)
-			}
-			if cfg.Cache == nil {
-				res, err = compute()
-			} else {
-				res, err = cfg.Cache.GetOrCompute(k, compute)
-			}
-			if err == nil {
-				// The front-end style is the cell's variant; the Decoupled
-				// bit is already part of the config identity in the key.
-				variant := "coupled"
-				if simCfg.Decoupled {
-					variant = "decoupled"
-				}
-				cfg.recordCell(&trc.Profile, variant, simCfg, k, res)
-			}
-			return res, err
-		}
+		profiles[ti] = trc.Profile
 		for _, decoupled := range []bool{false, true} {
-			mk := func(pf string) sim.Config {
+			variant := "coupled"
+			if decoupled {
+				variant = "decoupled"
+			}
+			for _, pf := range models {
 				c := sim.ConfigIPC1(pf, rulesFor(opts))
 				c.NoCycleSkip = cfg.NoSkip
 				cfg.applySampling(&c)
@@ -154,26 +60,28 @@ func FrontEndAblation(cfg SweepConfig, suite []synth.IPC1Trace) ([]FrontEndAblat
 				if decoupled {
 					c.FTQSize = 64
 				}
-				return c
-			}
-			base, err := runOne(mk("none"))
-			if err != nil {
-				releaseSlab()
-				return nil, err
-			}
-			for _, pf := range Table3Prefetchers {
-				st, err := runOne(mk(pf))
-				if err != nil {
-					releaseSlab()
-					return nil, err
-				}
-				k := key{pf, decoupled}
-				ratios[k] = append(ratios[k], st.IPC/base.IPC)
+				// Coupled and decoupled front-ends share WarmIdentity, so
+				// in sampled mode each (trace, prefetcher) pair warms once.
+				cells = append(cells, cell{trace: ti, opts: opts, simCfg: c,
+					variant: variant, checkpointable: true})
 			}
 		}
-		releaseSlab()
-		if cfg.Progress != nil {
-			cfg.Progress(ti+1, len(suite))
+	}
+	ex := cfg.execute(profiles, cells)
+	if err := ex.err(); err != nil {
+		return nil, err
+	}
+
+	type key struct {
+		pf        string
+		decoupled bool
+	}
+	ratios := map[key][]float64{}
+	for i := 0; i < len(cells); i += len(models) {
+		base := ex.results[i].IPC
+		for j, pf := range Table3Prefetchers {
+			k := key{pf, cells[i].simCfg.Decoupled}
+			ratios[k] = append(ratios[k], ex.results[i+1+j].IPC/base)
 		}
 	}
 

@@ -46,7 +46,7 @@ func OpenResultCache(dir string, maxBytes int64) (*ResultCache, error) {
 	}
 	return resultcache.Open[Result](
 		resultcache.Config{Dir: dir, MaxBytes: maxBytes},
-		resultcache.GobCodec[Result]{},
+		resultcache.BinaryCodec[Result]{},
 	)
 }
 
@@ -54,7 +54,7 @@ func OpenResultCache(dir string, maxBytes int64) (*ResultCache, error) {
 // (e.g. a memory/disk/remote Tiered stack for the serve daemon). The
 // cache owns the backend: Close flushes and closes it.
 func NewResultCache(b resultcache.Backend) *ResultCache {
-	return resultcache.New[Result](b, resultcache.GobCodec[Result]{})
+	return resultcache.New[Result](b, resultcache.BinaryCodec[Result]{})
 }
 
 // rulesFor returns the ChampSim branch-deduction rules a converted trace
@@ -101,9 +101,12 @@ func configHash(cfg sim.Config) resultcache.Key {
 // schema version, and the code fingerprint. See DESIGN.md "Result cache"
 // for the invalidation rules.
 func cacheKey(p *synth.Profile, opts core.Options, cfg sim.Config, instructions int, warmup uint64) resultcache.Key {
-	ph := profileHash(p)
-	oh := optionsHash(opts)
-	ch := configHash(cfg)
+	return resultKey(profileHash(p), optionsHash(opts), configHash(cfg), instructions, warmup)
+}
+
+// resultKey combines the component hashes of cacheKey, so callers keying
+// many cells can hash each profile and configuration once.
+func resultKey(ph, oh, ch resultcache.Key, instructions int, warmup uint64) resultcache.Key {
 	return resultcache.NewHasher("tracerebase/result").
 		U64(resultcache.SchemaVersion).
 		Str(resultcache.Fingerprint()).

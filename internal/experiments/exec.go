@@ -1,0 +1,426 @@
+package experiments
+
+import (
+	"errors"
+	"fmt"
+	"sync"
+	"sync/atomic"
+
+	"tracerebase/internal/champtrace"
+	"tracerebase/internal/core"
+	"tracerebase/internal/cvp"
+	"tracerebase/internal/resultcache"
+	"tracerebase/internal/sim"
+	"tracerebase/internal/synth"
+	"tracerebase/internal/tracestore"
+)
+
+// The cell executor is the one path from a list of experiment cells to
+// their Results; the figure sweep (and so Table 2), Table 3 and the
+// front-end ablation all build cells and hand them to execute. It is
+// result-first: every cell's content address is derived once, every cell
+// is resolved against the result cache before any input work, and only
+// the misses go on to generation, conversion (or a slab), and simulation.
+// A fully warm run therefore touches neither the generator nor the slab
+// store.
+
+// generateBatch synthesizes a trace's instructions. It is a variable so
+// tests can count generator calls.
+var generateBatch = synth.Profile.GenerateBatch
+
+// cell is one unit of experiment work: one trace, converted under one
+// improvement set, simulated under one configuration.
+type cell struct {
+	// trace indexes the profiles the cell list was built over.
+	trace  int
+	opts   core.Options
+	simCfg sim.Config
+	// variant is the cell's label in the experiment store.
+	variant string
+	// checkpointable admits the cell to the warmed-prefix checkpoint path
+	// in sampled mode (see SweepConfig.Checkpoints).
+	checkpointable bool
+}
+
+// executed is the outcome of one execute call, indexed like its cells.
+type executed struct {
+	cells []cell
+	// keys are the cells' content addresses; zero when the run has
+	// neither a result cache nor an experiment store.
+	keys    []resultcache.Key
+	results []Result
+	// errs holds each failed cell's error. A trace whose generation
+	// failed has it in genErrs, and its missed cells carry copies.
+	errs    []error
+	genErrs []error
+}
+
+// failures lists the run's errors in cell order, reporting a failed trace
+// generation once instead of once per cell.
+func (ex *executed) failures() []error {
+	var errs []error
+	reported := make([]bool, len(ex.genErrs))
+	for i, cl := range ex.cells {
+		switch {
+		case ex.genErrs[cl.trace] != nil:
+			if !reported[cl.trace] {
+				reported[cl.trace] = true
+				errs = append(errs, ex.genErrs[cl.trace])
+			}
+		case ex.errs[i] != nil:
+			errs = append(errs, ex.errs[i])
+		}
+	}
+	return errs
+}
+
+// err joins the run's failures.
+func (ex *executed) err() error { return errors.Join(ex.failures()...) }
+
+// traceInput is a trace's generated instructions: produced at most once,
+// by the first missed cell that needs them, and dropped when the trace's
+// last cell finishes.
+type traceInput struct {
+	once   sync.Once
+	instrs []cvp.Instruction
+	err    error
+	left   atomic.Int32
+}
+
+// classInput is the converted input of one (trace, converter-options)
+// class: acquired by the first missed cell of the class to run, shared
+// read-only by the rest, and released when the last one finishes.
+type classInput struct {
+	trace int
+	opts  core.Options
+	// cells counts the class's missed cells; left counts those still
+	// running.
+	cells int
+	once  sync.Once
+	slab  *tracestore.Slab
+	recs  []champtrace.Instruction
+	conv  core.Stats
+	err   error
+	left  atomic.Int32
+}
+
+// release drops the class's records once its last cell has finished. The
+// once.Do is load-bearing even when it runs the no-op: a cell served by
+// another caller's computation never entered the initializer, and without
+// the Do it would read the slab unsynchronized with the goroutine that
+// acquired it.
+func (in *classInput) release() {
+	if in.left.Add(-1) != 0 {
+		return
+	}
+	in.once.Do(func() {})
+	if in.slab != nil {
+		in.slab.Release()
+		in.slab = nil
+	}
+	in.recs = nil
+}
+
+// converterClasses groups the cells at idx into (trace, converter-option)
+// equivalence classes: cells of one trace with identical option bits read
+// identical converted records. classOf maps a cell index to its class;
+// each class counts its cells in cells and, for release, in left. Classes
+// are numbered in order of first appearance.
+func converterClasses(cells []cell, idx []int) (classOf map[int]int, classes []*classInput) {
+	type id struct {
+		trace int
+		bits  uint8
+	}
+	classOf = make(map[int]int, len(idx))
+	byID := make(map[id]int)
+	for _, i := range idx {
+		k := id{cells[i].trace, cells[i].opts.Bits()}
+		ci, ok := byID[k]
+		if !ok {
+			ci = len(classes)
+			byID[k] = ci
+			classes = append(classes, &classInput{trace: cells[i].trace, opts: cells[i].opts})
+		}
+		classes[ci].cells++
+		classes[ci].left.Add(1)
+		classOf[i] = ci
+	}
+	return classOf, classes
+}
+
+// cellKeys derives every cell's content address with one profile hash per
+// trace and one configuration hash per distinct configuration: rendering a
+// configuration's identity is the expensive part of a key.
+func (c *SweepConfig) cellKeys(profiles []synth.Profile, cells []cell) []resultcache.Key {
+	keys := make([]resultcache.Key, len(cells))
+	profileHashes := make(map[int]resultcache.Key)
+	configHashes := make(map[sim.Config]resultcache.Key)
+	for i, cl := range cells {
+		ph, ok := profileHashes[cl.trace]
+		if !ok {
+			ph = profileHash(&profiles[cl.trace])
+			profileHashes[cl.trace] = ph
+		}
+		ch, ok := configHashes[cl.simCfg]
+		if !ok {
+			ch = configHash(cl.simCfg)
+			configHashes[cl.simCfg] = ch
+		}
+		keys[i] = resultKey(ph, optionsHash(cl.opts), ch, c.Instructions, c.Warmup)
+	}
+	return keys
+}
+
+// forEach calls fn(i) for every i in [0, n) on at most par goroutines,
+// handing out indices in increasing order.
+func forEach(n, par int, fn func(i int)) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < min(par, n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// execute runs cells over profiles on the configured worker pool and
+// returns their Results. Cells should come in trace-major order: misses
+// run in cell order, so a trace's cells finish together and at most about
+// Parallelism traces hold generated instructions at a time.
+//
+// The run has two phases. First every cell is looked up in the result
+// cache, and hits are recorded and done. Then only the misses run: a
+// trace is generated only if one of its cells missed, and each (trace,
+// options) class with a miss gets its records once — from the slab store
+// when there is one, in which case a prefetcher maps the next trace's
+// classes while the current one simulates. Without a slab store, a class
+// with several missed cells (Table 3's nine prefetcher models, the
+// ablation's eighteen configurations) is converted once into memory, and
+// a class with one (a sweep variant) streams through its own converter,
+// which keeps peak memory at one batch per cell.
+//
+// Cache statistics count every cell once: a hit in the lookup phase, or
+// a miss and a compute when the cell runs.
+func (c *SweepConfig) execute(profiles []synth.Profile, cells []cell) *executed {
+	ex := &executed{
+		cells:   cells,
+		keys:    make([]resultcache.Key, len(cells)),
+		results: make([]Result, len(cells)),
+		errs:    make([]error, len(cells)),
+		genErrs: make([]error, len(profiles)),
+	}
+	if c.Cache != nil || c.Exp != nil {
+		ex.keys = c.cellKeys(profiles, cells)
+	}
+	traces := make([]traceInput, len(profiles))
+	for _, cl := range cells {
+		traces[cl.trace].left.Add(1)
+	}
+	var done atomic.Int32
+	finish := func(ti int) {
+		tr := &traces[ti]
+		if tr.left.Add(-1) != 0 {
+			return
+		}
+		tr.once.Do(func() {})
+		tr.instrs = nil
+		if c.Progress != nil {
+			c.Progress(int(done.Add(1)), len(profiles))
+		}
+	}
+
+	hit := make([]bool, len(cells))
+	if c.Cache != nil {
+		forEach(len(cells), c.Parallelism, func(i int) {
+			res, ok := c.Cache.Lookup(ex.keys[i])
+			if !ok {
+				return
+			}
+			hit[i] = true
+			ex.results[i] = res
+			cl := &cells[i]
+			c.recordCell(&profiles[cl.trace], cl.variant, cl.simCfg, ex.keys[i], res)
+			finish(cl.trace)
+		})
+	}
+	var misses []int
+	for i := range cells {
+		if !hit[i] {
+			misses = append(misses, i)
+		}
+	}
+	if len(misses) == 0 {
+		return ex
+	}
+
+	classOf, classes := converterClasses(cells, misses)
+	var plan map[int][]*classInput
+	if c.Slabs != nil {
+		plan = prefetchPlan(cells, misses, classes)
+	}
+	var pace chan []*classInput
+	var prefetchWG sync.WaitGroup
+	if len(plan) > 0 {
+		// Validation touches every page, so by the time the workers reach
+		// the next trace its slabs are resident. The channel holds one
+		// trace and sends never block: prefetch trails at most one trace
+		// behind and never stalls the workers, and a cold store degrades
+		// to a handful of failed opens.
+		pace = make(chan []*classInput, 1)
+		prefetchWG.Add(1)
+		go func() {
+			defer prefetchWG.Done()
+			for ins := range pace {
+				for _, in := range ins {
+					c.Slabs.Prefetch(slabKey(&profiles[in.trace], in.opts, c.Instructions))
+				}
+			}
+		}()
+	}
+
+	forEach(len(misses), c.Parallelism, func(k int) {
+		if next, ok := plan[k]; ok {
+			select {
+			case pace <- next:
+			default:
+			}
+		}
+		i := misses[k]
+		cl := &cells[i]
+		p := &profiles[cl.trace]
+		tr := &traces[cl.trace]
+		in := classes[classOf[i]]
+		generate := func() ([]cvp.Instruction, error) {
+			tr.once.Do(func() { tr.instrs, tr.err = generateBatch(*p, c.Instructions) })
+			return tr.instrs, tr.err
+		}
+		compute := func() (Result, error) {
+			mkSource, err := c.input(p, in, generate)
+			if err != nil {
+				return Result{}, err
+			}
+			return c.simulate(p, cl, mkSource)
+		}
+		var res Result
+		var err error
+		if c.Cache != nil {
+			res, err = c.Cache.GetOrCompute(ex.keys[i], compute)
+		} else {
+			res, err = compute()
+		}
+		if err == nil {
+			ex.results[i] = res
+			c.recordCell(p, cl.variant, cl.simCfg, ex.keys[i], res)
+		} else {
+			ex.errs[i] = fmt.Errorf("experiments: %s/%s: %w", p.Name, cl.variant, err)
+		}
+		in.release()
+		finish(cl.trace)
+	})
+	if pace != nil {
+		close(pace)
+		prefetchWG.Wait()
+	}
+	for ti := range traces {
+		if err := traces[ti].err; err != nil {
+			ex.genErrs[ti] = fmt.Errorf("experiments: generate %s: %w", profiles[ti].Name, err)
+		}
+	}
+	return ex
+}
+
+// prefetchPlan maps the first missed cell of each trace (an index into
+// misses) to the classes of the next trace with misses: the slab prefetcher
+// maps those while the current trace simulates. Traces without misses are
+// never paced.
+func prefetchPlan(cells []cell, misses []int, classes []*classInput) map[int][]*classInput {
+	byTrace := make(map[int][]*classInput)
+	for _, in := range classes {
+		byTrace[in.trace] = append(byTrace[in.trace], in)
+	}
+	plan := make(map[int][]*classInput)
+	start := 0
+	for k := 1; k < len(misses); k++ {
+		if ti := cells[misses[k]].trace; ti != cells[misses[k-1]].trace {
+			plan[start] = byTrace[ti]
+			start = k
+		}
+	}
+	return plan
+}
+
+// sourceFunc returns a fresh start-of-trace source over a cell's converted
+// records, a getter for the converter statistics (valid once the source is
+// drained), and a cleanup. The checkpoint path calls it more than once.
+type sourceFunc func() (champtrace.Source, func() core.Stats, func())
+
+// input acquires a class's records on first use and returns the source
+// factory for one of its cells: a view of the shared slab or in-memory
+// conversion, or — for a lone missed cell without a slab store — a
+// streaming converter over the trace's instructions.
+func (c *SweepConfig) input(p *synth.Profile, in *classInput, generate func() ([]cvp.Instruction, error)) (sourceFunc, error) {
+	if c.Slabs == nil && in.cells == 1 {
+		instrs, err := generate()
+		if err != nil {
+			return nil, err
+		}
+		return func() (champtrace.Source, func() core.Stats, func()) {
+			cs := core.NewConverterSource(cvp.NewValuesSource(instrs), in.opts)
+			return cs, cs.Stats, func() { cs.Close() }
+		}, nil
+	}
+	in.once.Do(func() {
+		if c.Slabs != nil {
+			// The store converts — and generates — only on its own miss.
+			// A slab's persisted converter statistics equal the streaming
+			// converter's, which the slab-transparency oracle enforces.
+			in.slab, in.err = acquireSlab(c.Slabs, p, in.opts, c.Instructions, generate)
+			if in.err == nil {
+				in.recs, in.conv = in.slab.Records(), in.slab.Conv()
+			}
+			return
+		}
+		instrs, err := generate()
+		if err != nil {
+			in.err = err
+			return
+		}
+		in.recs, in.conv, in.err = core.ConvertAllBatch(cvp.NewValuesSource(instrs), in.opts)
+	})
+	if in.err != nil {
+		return nil, in.err
+	}
+	recs, conv := in.recs, in.conv
+	return func() (champtrace.Source, func() core.Stats, func()) {
+		return champtrace.NewValuesSource(recs), func() core.Stats { return conv }, func() {}
+	}, nil
+}
+
+// simulate runs one cell. A checkpointable cell in sampled mode with a
+// checkpoint cache resumes from a shared warmed-prefix checkpoint instead
+// of re-warming; configurations without snapshot support fall through to
+// a plain run.
+func (c *SweepConfig) simulate(p *synth.Profile, cl *cell, mkSource sourceFunc) (Result, error) {
+	if cl.checkpointable && c.Checkpoints != nil && cl.simCfg.SamplePeriod > 0 && c.Warmup > 0 {
+		key := checkpointKey(p, cl.opts, cl.simCfg, c.Instructions, c.Warmup)
+		res, ok, err := runCheckpointed(c.Checkpoints, c.ckptGate, key, mkSource, cl.simCfg, c.Warmup)
+		if err != nil {
+			return Result{}, err
+		}
+		if ok {
+			return res, nil
+		}
+	}
+	src, conv, cleanup := mkSource()
+	defer cleanup()
+	st, err := sim.Run(src, cl.simCfg, c.Warmup, 0)
+	if err != nil {
+		return Result{}, err
+	}
+	return Result{IPC: st.IPC(), Sim: st, Conv: conv()}, nil
+}

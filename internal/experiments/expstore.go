@@ -76,39 +76,33 @@ func (c SweepConfig) CellKey(p synth.Profile, v Variant) (resultcache.Key, error
 // block) fall back to the in-memory result with a warning; the returned
 // count is the number of such misses, which the store-transparency oracle
 // pins to zero.
-func storeReadBack(cfg *SweepConfig, out []TraceResult) (int, error) {
-	type slot struct {
-		ti   int
-		name string
-	}
-	keys := make([]expstore.Key, 0, len(out)*len(cfg.Variants))
-	slots := make(map[expstore.Key][]slot)
-	for ti := range out {
-		for _, v := range cfg.Variants {
-			if _, ok := out[ti].Results[v.Name]; !ok {
-				continue // failed cell: nothing was appended for it
-			}
-			key := cacheKey(&out[ti].Profile, v.Opts, cfg.simConfigFor(v.Opts), cfg.Instructions, cfg.Warmup)
-			if _, seen := slots[key]; !seen {
-				keys = append(keys, key)
-			}
-			slots[key] = append(slots[key], slot{ti, v.Name})
+func storeReadBack(exp *expstore.Store, out []TraceResult, ex *executed) (int, error) {
+	keys := make([]expstore.Key, 0, len(ex.cells))
+	slots := make(map[expstore.Key][]int)
+	for i, key := range ex.keys {
+		if ex.errs[i] != nil {
+			continue // failed cell: nothing was appended for it
 		}
+		if _, seen := slots[key]; !seen {
+			keys = append(keys, key)
+		}
+		slots[key] = append(slots[key], i)
 	}
-	cells, err := cfg.Exp.Cells(keys)
+	cells, err := exp.Cells(keys)
 	if err != nil {
 		return len(keys), fmt.Errorf("experiments: expstore read-back: %w", err)
 	}
 	misses := 0
-	for key, ss := range slots {
+	for key, is := range slots {
 		cell, ok := cells[key]
 		if !ok {
 			misses++
 			continue
 		}
 		res := Result{IPC: cell.IPC, Sim: cell.Sim, Conv: cell.Conv}
-		for _, s := range ss {
-			out[s.ti].Results[s.name] = res
+		for _, i := range is {
+			cl := ex.cells[i]
+			out[cl.trace].Results[cl.variant] = res
 		}
 	}
 	return misses, nil

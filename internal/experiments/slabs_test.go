@@ -20,33 +20,55 @@ func testSlabStore(t *testing.T, dir string) *SlabStore {
 }
 
 func TestConverterClasses(t *testing.T) {
-	vs := []Variant{
-		{"a", core.OptionsNone()},
-		{"b", core.OptionsAll()},
-		{"c", core.OptionsNone()}, // same bits as a
-		{"d", core.Options{FlagReg: true}},
+	opts := []core.Options{
+		core.OptionsNone(),
+		core.OptionsAll(),
+		core.OptionsNone(), // same bits as 0
+		{FlagReg: true},
 	}
-	classOf, classOpts := converterClasses(vs)
-	if len(classOpts) != 3 {
-		t.Fatalf("got %d classes, want 3", len(classOpts))
+	var cells []cell
+	for trace := 0; trace < 2; trace++ {
+		for _, o := range opts {
+			cells = append(cells, cell{trace: trace, opts: o})
+		}
 	}
-	if classOf[0] != classOf[2] {
-		t.Fatalf("identical option sets split into classes %d and %d", classOf[0], classOf[2])
+	all := make([]int, len(cells))
+	for i := range all {
+		all[i] = i
+	}
+	classOf, classes := converterClasses(cells, all)
+	if len(classes) != 6 {
+		t.Fatalf("got %d classes, want 3 per trace", len(classes))
+	}
+	if in := classes[classOf[0]]; classOf[0] != classOf[2] || in.cells != 2 || in.left.Load() != 2 {
+		t.Fatalf("identical option sets split: classes %d and %d", classOf[0], classOf[2])
 	}
 	if classOf[0] == classOf[1] || classOf[1] == classOf[3] || classOf[0] == classOf[3] {
 		t.Fatalf("distinct option sets merged: %v", classOf)
 	}
-	for vi, ci := range classOf {
-		if classOpts[ci].Bits() != vs[vi].Opts.Bits() {
-			t.Fatalf("class %d options do not match variant %d", ci, vi)
+	if classOf[0] == classOf[4] {
+		t.Fatal("one option set on two traces shares a class")
+	}
+	for i, ci := range classOf {
+		if classes[ci].opts.Bits() != cells[i].opts.Bits() || classes[ci].trace != cells[i].trace {
+			t.Fatalf("class %d does not match cell %d", ci, i)
 		}
 	}
-	// The standard ten variants all have distinct option bits.
-	classOf, classOpts = converterClasses(Variants())
-	if len(classOpts) != 10 {
-		t.Fatalf("standard variants: %d classes, want 10", len(classOpts))
+	// Only the cells asked for are grouped: a trace whose cells all hit
+	// the result cache has no class.
+	classOf, classes = converterClasses(cells, []int{5, 7})
+	if len(classes) != 2 || len(classOf) != 2 || classes[0].trace != 1 {
+		t.Fatalf("subset grouping: %d classes %v", len(classes), classOf)
 	}
-	_ = classOf
+	// The standard ten variants all have distinct option bits.
+	cells, all = nil, nil
+	for i, v := range Variants() {
+		cells = append(cells, cell{opts: v.Opts})
+		all = append(all, i)
+	}
+	if _, classes = converterClasses(cells, all); len(classes) != 10 {
+		t.Fatalf("standard variants: %d classes, want 10", len(classes))
+	}
 }
 
 // TestRunSweepSlabTransparency: a sweep fed from the slab store must be

@@ -13,17 +13,11 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
-	"tracerebase/internal/champtrace"
 	"tracerebase/internal/core"
-	"tracerebase/internal/cvp"
 	"tracerebase/internal/expstore"
-	"tracerebase/internal/resultcache"
 	"tracerebase/internal/sim"
 	"tracerebase/internal/synth"
-	"tracerebase/internal/tracestore"
 )
 
 // Variant is one converter configuration of the evaluation.
@@ -132,9 +126,10 @@ type SweepConfig struct {
 	// skip-off runs never share cache entries.
 	NoSkip bool
 	// Cache, when non-nil, serves (trace, variant, config) Results by
-	// content address instead of recomputing them: the sweep consults it
-	// before dispatching work, skips generation and conversion entirely
-	// for fully-cached traces, and stores every freshly computed Result.
+	// content address instead of recomputing them: every cell is looked up
+	// before any input work, fully-cached traces are never generated,
+	// converted or read from the slab store, and every freshly computed
+	// Result is stored.
 	// Concurrent requests for the same key share one computation
 	// (single-flight). nil reproduces the uncached engine exactly.
 	Cache *ResultCache
@@ -165,7 +160,8 @@ type SweepConfig struct {
 	// converter-option equivalence classes (convert once per trace and
 	// class, feed every cell in the class from one shared read-only slab),
 	// warm slabs load zero-copy from disk instead of reconverting, and the
-	// next trace's slabs are prefetched while the current one simulates.
+	// slabs of the next trace with a result-cache miss are prefetched while
+	// the current one simulates.
 	// nil reproduces the streaming-conversion engine exactly.
 	Slabs *SlabStore
 	// Exp, when non-nil, is the append-only columnar experiment store:
@@ -254,158 +250,24 @@ func (c *SweepConfig) simConfigFor(opts core.Options) sim.Config {
 	return sc
 }
 
-// runVariantSource simulates one cell from an abstract source factory on
-// simCfg (the develop-branch model). mkSource must return a fresh
-// start-of-trace source on every call (the checkpoint path invokes it more
-// than once) together with a converter-statistics getter valid after the
-// source is drained. In sampled mode with a checkpoint cache, the
-// simulation resumes from a shared warmed-prefix checkpoint rather than
-// re-warming.
-func runVariantSource(p *synth.Profile, mkSource func() (champtrace.Source, func() core.Stats, func()), v Variant, simCfg sim.Config, cfg *SweepConfig) (Result, error) {
-	if cfg.Checkpoints != nil && simCfg.SamplePeriod > 0 && cfg.Warmup > 0 {
-		key := checkpointKey(p, v.Opts, simCfg, cfg.Instructions, cfg.Warmup)
-		res, ok, err := runCheckpointed(cfg.Checkpoints, cfg.ckptGate, key, mkSource, simCfg, cfg.Warmup)
-		if err != nil {
-			return Result{}, err
-		}
-		if ok {
-			return res, nil
-		}
-	}
-	cs, convStats, cleanup := mkSource()
-	defer cleanup()
-	// Traces carrying branch-regs need the §3.2.2 ChampSim patch;
-	// simConfigFor (via DevelopConfigFor) pairs rules with options for
-	// dispatch and cache keys alike.
-	st, err := sim.Run(cs, simCfg, cfg.Warmup, 0)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{IPC: st.IPC(), Sim: st, Conv: convStats()}, nil
-}
-
-// runVariant converts instrs under v and simulates the result, streaming
-// conversion into the simulator batch by batch instead of materializing
-// the converted trace — the slab-store-off path. instrs is read-only and
-// may be shared by concurrent callers.
-func runVariant(p *synth.Profile, instrs []cvp.Instruction, v Variant, simCfg sim.Config, cfg *SweepConfig) (Result, error) {
-	mkSource := func() (champtrace.Source, func() core.Stats, func()) {
-		cs := core.NewConverterSource(cvp.NewValuesSource(instrs), v.Opts)
-		return cs, cs.Stats, func() { cs.Close() }
-	}
-	return runVariantSource(p, mkSource, v, simCfg, cfg)
-}
-
-// runVariantSlab simulates one cell straight from a store slab: conversion
-// already happened (this run or a previous process), so the cell is pure
-// simulation over the shared read-only record view. The slab's persisted
-// converter statistics stand in for the streaming converter's end-of-trace
-// statistics — they are equal by construction, which the slab-transparency
-// conformance oracle enforces.
-func runVariantSlab(p *synth.Profile, sl *tracestore.Slab, v Variant, simCfg sim.Config, cfg *SweepConfig) (Result, error) {
-	conv := sl.Conv()
-	recs := sl.Records()
-	mkSource := func() (champtrace.Source, func() core.Stats, func()) {
-		src := champtrace.NewValuesSource(recs)
-		return src, func() core.Stats { return conv }, func() {}
-	}
-	return runVariantSource(p, mkSource, v, simCfg, cfg)
-}
-
 // RunTrace generates one trace and simulates it under every variant on the
-// develop-branch model.
+// develop-branch model: a one-trace RunSweep.
 func RunTrace(p synth.Profile, cfg SweepConfig) (TraceResult, error) {
-	if err := cfg.fill(); err != nil {
+	out, err := RunSweep([]synth.Profile{p}, cfg)
+	if out == nil {
 		return TraceResult{}, err
 	}
-	instrs, err := p.GenerateBatch(cfg.Instructions)
-	if err != nil {
-		return TraceResult{}, err
-	}
-	tr := TraceResult{Profile: p, Results: make(map[string]Result, len(cfg.Variants))}
-	for _, v := range cfg.Variants {
-		res, err := runVariant(&p, instrs, v, cfg.simConfigFor(v.Opts), &cfg)
-		if err != nil {
-			return tr, fmt.Errorf("experiments: %s/%s: %w", p.Name, v.Name, err)
-		}
-		tr.Results[v.Name] = res
-	}
-	return tr, nil
+	return out[0], err
 }
 
-// traceState is the per-trace shared state of a sweep: the generated
-// instruction slab (produced once, read-only across the trace's variant
-// workers), the count of variants still outstanding, and — with a slab
-// store — one cell per converter-option equivalence class.
-type traceState struct {
-	once   sync.Once
-	instrs []cvp.Instruction
-	err    error
-	left   atomic.Int32
-	// classes is indexed by equivalence-class id (see converterClasses);
-	// nil when the sweep runs without a slab store.
-	classes []classCell
-}
-
-// classCell is the per-(trace, converter-option-class) slab hold: acquired
-// once by whichever cell of the class gets there first, shared read-only
-// across the class's variants, and released when the last cell drains.
-type classCell struct {
-	once sync.Once
-	slab *tracestore.Slab
-	err  error
-	left atomic.Int32
-}
-
-// release drops the class's slab reference once the last cell has
-// finished. The once.Do here is load-bearing even when it runs the no-op:
-// a cell served entirely from the result cache never entered the
-// initializer, and without the Do it would read cc.slab unsynchronized
-// with the goroutine that acquired it.
-func (cc *classCell) release() {
-	if cc.left.Add(-1) != 0 {
-		return
-	}
-	cc.once.Do(func() {})
-	if cc.slab != nil {
-		cc.slab.Release()
-		cc.slab = nil
-	}
-}
-
-// converterClasses groups variants into converter-option equivalence
-// classes: variants with identical option bits produce identical converted
-// traces, so they share one slab per trace. classOf maps variant index to
-// class id; classOpts holds each class's option set.
-func converterClasses(variants []Variant) (classOf []int, classOpts []core.Options) {
-	classOf = make([]int, len(variants))
-	byBits := make(map[uint8]int)
-	for vi, v := range variants {
-		bits := v.Opts.Bits()
-		ci, ok := byBits[bits]
-		if !ok {
-			ci = len(classOpts)
-			byBits[bits] = ci
-			classOpts = append(classOpts, v.Opts)
-		}
-		classOf[vi] = ci
-	}
-	return classOf, classOpts
-}
-
-// RunSweep simulates every profile under every variant with a bounded pool
-// of workers draining a (trace, variant) work queue: each trace is
-// generated exactly once — by whichever worker gets there first — and its
-// instruction slab is shared read-only across the trace's variant
-// simulations, so sweep parallelism is trace×variant-wide rather than
-// trace-wide.
-//
-// With cfg.Cache set, each (trace, variant) cell is first looked up by its
-// content address; a hit skips generation, conversion, and simulation for
-// that cell — and a fully-cached trace is never generated at all, because
-// generation is deferred into the compute closure that only a cache miss
-// invokes. Concurrent misses on the same key (e.g. overlapping sweeps from
-// concurrent callers) share a single computation.
+// RunSweep simulates every profile under every variant through the cell
+// executor (see execute): every (trace, variant) cell is looked up in the
+// result cache first, and only traces with a missed cell are generated —
+// once, by whichever worker gets there first — and converted, once per
+// converter-option class, with the class's records shared read-only across
+// its variant simulations. Sweep parallelism is trace×variant-wide rather
+// than trace-wide, and concurrent misses on one key (e.g. overlapping
+// sweeps from concurrent callers) share a single computation.
 //
 // Results are assembled deterministically: out[i] always corresponds to
 // profiles[i] regardless of completion order. On failure the returned
@@ -418,174 +280,29 @@ func RunSweep(profiles []synth.Profile, cfg SweepConfig) ([]TraceResult, error) 
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	nv := len(cfg.Variants)
-	classOf, classOpts := converterClasses(cfg.Variants)
-	classSize := make([]int32, len(classOpts))
-	for _, ci := range classOf {
-		classSize[ci]++
-	}
-	states := make([]traceState, len(profiles))
-	cells := make([][]Result, len(profiles))
-	cellOK := make([][]bool, len(profiles))
-	cellErrs := make([][]error, len(profiles))
-	for i := range profiles {
-		states[i].left.Store(int32(nv))
-		cells[i] = make([]Result, nv)
-		cellOK[i] = make([]bool, nv)
-		cellErrs[i] = make([]error, nv)
-		if cfg.Slabs != nil {
-			states[i].classes = make([]classCell, len(classOpts))
-			for ci := range states[i].classes {
-				states[i].classes[ci].left.Store(classSize[ci])
-			}
-		}
-	}
-
-	type job struct{ ti, vi int }
-	jobs := make(chan job)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	done := 0
-	for w := 0; w < cfg.Parallelism; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				st := &states[j.ti]
-				v := cfg.Variants[j.vi]
-				generate := func() ([]cvp.Instruction, error) {
-					st.once.Do(func() {
-						st.instrs, st.err = profiles[j.ti].GenerateBatch(cfg.Instructions)
-					})
-					return st.instrs, st.err
-				}
-				compute := func() (Result, error) {
-					if cfg.Slabs == nil {
-						instrs, err := generate()
-						if err != nil {
-							return Result{}, err
-						}
-						return runVariant(&profiles[j.ti], instrs, v, cfg.simConfigFor(v.Opts), &cfg)
-					}
-					// Conversion is hoisted to the class: the first cell of
-					// the class to miss the result cache acquires the slab
-					// (converting only if the store misses too — generation
-					// is deferred all the way into that innermost miss);
-					// every later cell simulates from the same mapping.
-					cc := &st.classes[classOf[j.vi]]
-					cc.once.Do(func() {
-						cc.slab, cc.err = acquireSlab(cfg.Slabs, &profiles[j.ti],
-							classOpts[classOf[j.vi]], cfg.Instructions, generate)
-					})
-					if cc.err != nil {
-						return Result{}, cc.err
-					}
-					return runVariantSlab(&profiles[j.ti], cc.slab, v, cfg.simConfigFor(v.Opts), &cfg)
-				}
-				var res Result
-				var err error
-				var key resultcache.Key
-				if cfg.Cache != nil || cfg.Exp != nil {
-					key = cacheKey(&profiles[j.ti], v.Opts, cfg.simConfigFor(v.Opts), cfg.Instructions, cfg.Warmup)
-				}
-				if cfg.Cache != nil {
-					res, err = cfg.Cache.GetOrCompute(key, compute)
-				} else {
-					res, err = compute()
-				}
-				if err == nil {
-					cfg.recordCell(&profiles[j.ti], v.Name, cfg.simConfigFor(v.Opts), key, res)
-				}
-				if cfg.Slabs != nil {
-					st.classes[classOf[j.vi]].release()
-				}
-				switch {
-				case err == nil:
-					cells[j.ti][j.vi] = res
-					cellOK[j.ti][j.vi] = true
-				case st.err != nil:
-					// Generation failure: reported once per trace during
-					// assembly, not once per variant.
-				default:
-					cellErrs[j.ti][j.vi] = fmt.Errorf("experiments: %s/%s: %w",
-						profiles[j.ti].Name, v.Name, err)
-				}
-				if st.left.Add(-1) == 0 {
-					st.instrs = nil // last variant done: release the trace
-					mu.Lock()
-					done++
-					d := done
-					mu.Unlock()
-					if cfg.Progress != nil {
-						cfg.Progress(d, len(profiles))
-					}
-				}
-			}
-		}()
-	}
-	// With a slab store, a single goroutine warms the next trace's slabs
-	// from disk while the current trace simulates: validation touches every
-	// page, so by the time the workers reach the trace its slabs are
-	// resident. The pace channel is capacity 1 and sends are non-blocking —
-	// prefetch trails at most one trace behind the feed and never stalls
-	// it, and a cold store (nothing on disk yet) degrades to a handful of
-	// failed opens.
-	var prefetchWG sync.WaitGroup
-	var pace chan int
-	if cfg.Slabs != nil && len(profiles) > 1 {
-		pace = make(chan int, 1)
-		prefetchWG.Add(1)
-		go func() {
-			defer prefetchWG.Done()
-			for ti := range pace {
-				for ci := range classOpts {
-					cfg.Slabs.Prefetch(slabKey(&profiles[ti], classOpts[ci], cfg.Instructions))
-				}
-			}
-		}()
-	}
-	// Trace-major order: all of a trace's variants are adjacent in the
-	// queue, so at most ~Parallelism traces have live instruction slabs.
+	cells := make([]cell, 0, len(profiles)*len(cfg.Variants))
 	for ti := range profiles {
-		if pace != nil && ti+1 < len(profiles) {
-			select {
-			case pace <- ti + 1:
-			default:
-			}
-		}
-		for vi := 0; vi < nv; vi++ {
-			jobs <- job{ti, vi}
+		for _, v := range cfg.Variants {
+			cells = append(cells, cell{trace: ti, opts: v.Opts, simCfg: cfg.simConfigFor(v.Opts),
+				variant: v.Name, checkpointable: true})
 		}
 	}
-	close(jobs)
-	if pace != nil {
-		close(pace)
-	}
-	wg.Wait()
-	prefetchWG.Wait()
+	ex := cfg.execute(profiles, cells)
 
 	out := make([]TraceResult, len(profiles))
-	var errs []error
 	for ti := range profiles {
-		out[ti] = TraceResult{Profile: profiles[ti], Results: make(map[string]Result, nv)}
-		if states[ti].err != nil {
-			errs = append(errs, fmt.Errorf("experiments: generate %s: %w",
-				profiles[ti].Name, states[ti].err))
-		}
-		for vi, v := range cfg.Variants {
-			if err := cellErrs[ti][vi]; err != nil {
-				errs = append(errs, err)
-				continue
-			}
-			if cellOK[ti][vi] {
-				out[ti].Results[v.Name] = cells[ti][vi]
-			}
+		out[ti] = TraceResult{Profile: profiles[ti], Results: make(map[string]Result, len(cfg.Variants))}
+	}
+	for i, cl := range cells {
+		if ex.errs[i] == nil {
+			out[cl.trace].Results[cl.variant] = ex.results[i]
 		}
 	}
+	errs := ex.failures()
 	// With an experiment store, the assembled results are exchanged for
 	// their store-read copies before anything downstream sees them.
 	if cfg.Exp != nil {
-		misses, rbErr := storeReadBack(&cfg, out)
+		misses, rbErr := storeReadBack(cfg.Exp, out, ex)
 		if rbErr != nil {
 			errs = append(errs, rbErr)
 		}

@@ -5,14 +5,10 @@ import (
 	"io"
 	"sort"
 
-	"tracerebase/internal/champtrace"
 	"tracerebase/internal/core"
-	"tracerebase/internal/cvp"
-	"tracerebase/internal/resultcache"
 	"tracerebase/internal/sim"
 	"tracerebase/internal/stats"
 	"tracerebase/internal/synth"
-	"tracerebase/internal/tracestore"
 )
 
 // RenderTable1 prints Table 1: the summary of the proposed trace conversion
@@ -147,156 +143,62 @@ type Table3Result struct {
 // Table3 re-runs the IPC-1 championship on both trace sets using the IPC-1
 // processor model. A nil suite means all 50 IPC-1 traces.
 //
-// Like RunSweep, Table3 consults cfg.Cache before every simulation:
-// generation and conversion are deferred into closures that only a cache
-// miss forces, so a fully-cached trace costs no simulation work at all.
+// Every (trace, set, prefetcher) simulation is one cell of the executor
+// (see execute), so cached cells cost no simulation work, and each trace
+// is generated at most once and converted at most once per set no matter
+// how many of its 18 simulations miss. Without a slab store a set with
+// several misses is converted once into memory and shared by its models.
 func Table3(cfg SweepConfig, suite []synth.IPC1Trace) (Table3Result, error) {
 	if err := cfg.fill(); err != nil {
 		return Table3Result{}, err
 	}
 	fixedOpts := core.OptionsAll()
 	fixedOpts.MemFootprint = false // footnote 4
-
-	type set struct {
-		name  string
-		opts  core.Options
-		rules champtrace.RuleSet
-	}
-	sets := []set{
-		{"competition", core.OptionsNone(), rulesFor(core.OptionsNone())},
-		{"fixed", fixedOpts, rulesFor(fixedOpts)},
+	sets := []struct {
+		name string
+		opts core.Options
+	}{
+		{"competition", core.OptionsNone()},
+		{"fixed", fixedOpts},
 	}
 
 	if suite == nil {
 		suite = synth.IPC1Suite()
 	}
+	profiles := make([]synth.Profile, len(suite))
+	models := append([]string{"none"}, Table3Prefetchers...)
+	var cells []cell
+	for ti, trc := range suite {
+		profiles[ti] = trc.Profile
+		for _, s := range sets {
+			for _, pf := range models {
+				simCfg := sim.ConfigIPC1(pf, rulesFor(s.opts))
+				simCfg.NoCycleSkip = cfg.NoSkip
+				cfg.applySampling(&simCfg)
+				// The set name ("competition"/"fixed") is the cell's
+				// variant; the prefetcher identity column separates the
+				// nine models within a set. Only the prefetcher-less
+				// baseline is checkpointable: the stateful IPC-1
+				// prefetchers lack snapshot support.
+				cells = append(cells, cell{trace: ti, opts: s.opts, simCfg: simCfg,
+					variant: s.name, checkpointable: pf == "none"})
+			}
+		}
+	}
+	ex := cfg.execute(profiles, cells)
+	if err := ex.err(); err != nil {
+		return Table3Result{}, err
+	}
+
 	// speedups[set][prefetcher] = per-trace IPC ratios
 	speedups := map[string]map[string][]float64{}
 	for _, s := range sets {
 		speedups[s.name] = map[string][]float64{}
 	}
-
-	for ti, trc := range suite {
-		// The trace is generated at most once, and converted at most once
-		// per set, no matter how many of the 18 simulations miss — and not
-		// at all when every simulation hits the cache. With a slab store
-		// the per-set conversion additionally resolves through the store,
-		// so a warm run skips it entirely.
-		var instrs []cvp.Instruction
-		generate := func() ([]cvp.Instruction, error) {
-			if instrs != nil {
-				return instrs, nil
-			}
-			var err error
-			instrs, err = trc.Profile.GenerateBatch(cfg.Instructions)
-			return instrs, err
-		}
-		for _, s := range sets {
-			err := func() error {
-				var src *champtrace.ValuesSource
-				var convStats core.Stats
-				var slab *tracestore.Slab
-				defer func() {
-					if slab != nil {
-						slab.Release()
-					}
-				}()
-				convert := func() error {
-					if src != nil {
-						return nil
-					}
-					if cfg.Slabs != nil {
-						sl, err := acquireSlab(cfg.Slabs, &trc.Profile, s.opts, cfg.Instructions, generate)
-						if err != nil {
-							return err
-						}
-						slab = sl
-						convStats = sl.Conv()
-						src = champtrace.NewValuesSource(sl.Records())
-						return nil
-					}
-					instrs, err := generate()
-					if err != nil {
-						return err
-					}
-					recs, cs, err := core.ConvertAllBatch(cvp.NewValuesSource(instrs), s.opts)
-					if err != nil {
-						return err
-					}
-					convStats = cs
-					src = champtrace.NewValuesSource(recs)
-					return nil
-				}
-				mkSource := func() (champtrace.Source, func() core.Stats, func()) {
-					src.Reset()
-					return src, func() core.Stats { return convStats }, func() {}
-				}
-				runOne := func(pf string) (Result, error) {
-					simCfg := sim.ConfigIPC1(pf, s.rules)
-					simCfg.NoCycleSkip = cfg.NoSkip
-					cfg.applySampling(&simCfg)
-					compute := func() (Result, error) {
-						if err := convert(); err != nil {
-							return Result{}, err
-						}
-						if cfg.Checkpoints != nil && simCfg.SamplePeriod > 0 && cfg.Warmup > 0 {
-							// Only the prefetcher-less baseline is checkpointable
-							// (stateful IPC-1 prefetchers lack snapshot support);
-							// the rest fall through to a plain sampled run.
-							k := checkpointKey(&trc.Profile, s.opts, simCfg, cfg.Instructions, cfg.Warmup)
-							res, ok, err := runCheckpointed(cfg.Checkpoints, cfg.ckptGate, k, mkSource, simCfg, cfg.Warmup)
-							if err != nil {
-								return Result{}, err
-							}
-							if ok {
-								return res, nil
-							}
-						}
-						src.Reset()
-						st, err := sim.Run(src, simCfg, cfg.Warmup, 0)
-						if err != nil {
-							return Result{}, err
-						}
-						return Result{IPC: st.IPC(), Sim: st, Conv: convStats}, nil
-					}
-					var res Result
-					var err error
-					var key resultcache.Key
-					if cfg.Cache != nil || cfg.Exp != nil {
-						key = cacheKey(&trc.Profile, s.opts, simCfg, cfg.Instructions, cfg.Warmup)
-					}
-					if cfg.Cache == nil {
-						res, err = compute()
-					} else {
-						res, err = cfg.Cache.GetOrCompute(key, compute)
-					}
-					if err == nil {
-						// The set name ("competition"/"fixed") is the cell's
-						// variant; the prefetcher identity column separates
-						// the nine models within a set.
-						cfg.recordCell(&trc.Profile, s.name, simCfg, key, res)
-					}
-					return res, err
-				}
-				base, err := runOne("none")
-				if err != nil {
-					return err
-				}
-				for _, pf := range Table3Prefetchers {
-					st, err := runOne(pf)
-					if err != nil {
-						return err
-					}
-					speedups[s.name][pf] = append(speedups[s.name][pf], st.IPC/base.IPC)
-				}
-				return nil
-			}()
-			if err != nil {
-				return Table3Result{}, err
-			}
-		}
-		if cfg.Progress != nil {
-			cfg.Progress(ti+1, len(suite))
+	for i := 0; i < len(cells); i += len(models) {
+		base := ex.results[i].IPC
+		for j, pf := range Table3Prefetchers {
+			speedups[cells[i].variant][pf] = append(speedups[cells[i].variant][pf], ex.results[i+1+j].IPC/base)
 		}
 	}
 

@@ -9,6 +9,7 @@ package report
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -16,10 +17,17 @@ import (
 	"tracerebase/internal/synth"
 )
 
+// expNames lists the names a Spec's experiment list may hold: every
+// experiment Run renders, and "all" for the paper's tables and figures
+// (ablation and char run only when named).
+var expNames = []string{"table1", "fig1", "fig2", "fig3", "fig4", "fig5",
+	"table2", "table3", "ablation", "char", "all"}
+
 // Spec names what to render: which experiments and which suite stride.
 type Spec struct {
 	// Exp is the comma-separated experiment list: table1, fig1..fig5,
-	// table2, table3, ablation, char, or all.
+	// table2, table3, ablation, char, or all. The empty list is valid and
+	// renders nothing.
 	Exp string
 	// Step uses every step-th trace of each suite (1 = all).
 	Step int
@@ -48,12 +56,33 @@ type Telemetry struct {
 	Sample []SampleStat
 }
 
+// ValidateExp checks a comma-separated experiment list against the names
+// Run understands, naming the first entry that is not an experiment. The
+// batch CLI and the daemon both call it, so a misspelled name fails
+// loudly on either front end instead of silently rendering less.
+func ValidateExp(exp string) error {
+	if strings.TrimSpace(exp) == "" {
+		return nil
+	}
+	for _, e := range strings.Split(exp, ",") {
+		if e = strings.TrimSpace(e); !slices.Contains(expNames, e) {
+			return fmt.Errorf("unknown experiment %q (want a comma-separated list of %s)",
+				e, strings.Join(expNames, ", "))
+		}
+	}
+	return nil
+}
+
 // Run renders the experiments named by spec into out, using cfg's engine
 // configuration (cache, slab store, parallelism, sampling) unchanged.
 // Every byte written to out.Text is a pure function of (cfg, spec), which
-// is what makes cached replays byte-identical.
+// is what makes cached replays byte-identical. An experiment list that
+// fails ValidateExp is an error, and nothing is rendered.
 func Run(cfg experiments.SweepConfig, spec Spec, out Output) (Telemetry, error) {
 	var tel Telemetry
+	if err := ValidateExp(spec.Exp); err != nil {
+		return tel, err
+	}
 	text := out.Text
 	if text == nil {
 		text = io.Discard

@@ -2,7 +2,9 @@ package resultcache
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
+	"fmt"
 	"sync"
 )
 
@@ -32,6 +34,29 @@ func (GobCodec[T]) Encode(v T) ([]byte, error) {
 func (GobCodec[T]) Decode(b []byte) (T, error) {
 	var v T
 	err := gob.NewDecoder(bytes.NewReader(b)).Decode(&v)
+	return v, err
+}
+
+// BinaryCodec is a Codec over encoding/binary's fixed little-endian
+// layout. T must have a fixed size — numbers, bools, and arrays and
+// structs of them; a string, slice or map field makes Encode fail. The
+// layout has no framing of its own, so Decode insists the payload is
+// exactly one T long: a truncated, padded or foreign (e.g. gob) payload is
+// a decode error, which the cache discards as corrupt and recomputes.
+type BinaryCodec[T any] struct{}
+
+// Encode implements Codec.
+func (BinaryCodec[T]) Encode(v T) ([]byte, error) {
+	return binary.Append(nil, binary.LittleEndian, &v)
+}
+
+// Decode implements Codec.
+func (BinaryCodec[T]) Decode(b []byte) (T, error) {
+	var v T
+	n, err := binary.Decode(b, binary.LittleEndian, &v)
+	if err == nil && n != len(b) {
+		err = fmt.Errorf("resultcache: %d-byte payload for a %d-byte record", len(b), n)
+	}
 	return v, err
 }
 
@@ -179,9 +204,23 @@ func (c *Cache[T]) DiskBytes() int64 {
 func (c *Cache[T]) Close() error { return c.backend.Close() }
 
 // Get returns the cached value for key if it is resident in memory or
-// valid in the backend. It never computes and never joins an in-flight
-// computation.
+// valid in the backend, counting a miss when it is neither. It never
+// computes and never joins an in-flight computation.
 func (c *Cache[T]) Get(key Key) (T, bool) {
+	v, ok := c.Lookup(key)
+	if !ok {
+		c.mu.Lock()
+		c.stats.Misses++
+		c.mu.Unlock()
+	}
+	return v, ok
+}
+
+// Lookup is Get without the miss count, for callers that resolve every
+// key before computing any: each miss is then resolved with GetOrCompute,
+// which counts it, so a lookup followed by a GetOrCompute counts one miss,
+// not two.
+func (c *Cache[T]) Lookup(key Key) (T, bool) {
 	c.mu.Lock()
 	if v, ok := c.mem[key]; ok {
 		c.stats.Hits++
@@ -190,14 +229,7 @@ func (c *Cache[T]) Get(key Key) (T, bool) {
 		return v, true
 	}
 	c.mu.Unlock()
-	if v, ok := c.tryBackend(key); ok {
-		return v, true
-	}
-	c.mu.Lock()
-	c.stats.Misses++
-	c.mu.Unlock()
-	var zero T
-	return zero, false
+	return c.tryBackend(key)
 }
 
 // GetOrCompute returns the value for key, computing and storing it on a

@@ -434,3 +434,33 @@ func TestHitSplitInvariant(t *testing.T) {
 	get(c2) // the disk hit promoted the entry into memory
 	check(c2, 1, 1)
 }
+
+// TestLookupThenComputeCountsOnce: resolving keys in two phases — Lookup
+// for every key, then GetOrCompute for the misses — counts each key once:
+// a missed and computed key as one miss and one compute, a found key as
+// one hit.
+func TestLookupThenComputeCountsOnce(t *testing.T) {
+	dir := t.TempDir()
+	c := testCache(t, dir, 0)
+	for i := 0; i < 3; i++ {
+		if _, ok := c.Lookup(keyOf(i)); ok {
+			t.Fatalf("key %d found in an empty cache", i)
+		}
+		if _, err := c.GetOrCompute(keyOf(i), func() (payload, error) { return payload{N: i}, nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := c.Stats(); s.Misses != 3 || s.Computes != 3 || s.Hits != 0 {
+		t.Fatalf("cold stats %+v, want 3 misses and 3 computes", s)
+	}
+
+	warm := testCache(t, dir, 0)
+	for i := 0; i < 3; i++ {
+		if v, ok := warm.Lookup(keyOf(i)); !ok || v.N != i {
+			t.Fatalf("key %d: got %+v, %v", i, v, ok)
+		}
+	}
+	if s := warm.Stats(); s.Hits != 3 || s.DiskHits != 3 || s.Misses != 0 || s.Computes != 0 {
+		t.Fatalf("warm stats %+v, want 3 disk hits", s)
+	}
+}

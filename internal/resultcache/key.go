@@ -16,7 +16,9 @@
 package resultcache
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"debug/elf"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
@@ -25,13 +27,17 @@ import (
 	"math"
 	"os"
 	"runtime/debug"
+	"strings"
 	"sync"
 )
 
 // SchemaVersion identifies the cache record layout and the semantics of
 // the values stored in it. Bump it whenever the stored payload encoding
 // changes incompatibly; old entries are then treated as misses.
-const SchemaVersion = 1
+//
+// Version 2: experiment Results are stored in BinaryCodec's fixed
+// little-endian layout instead of gob.
+const SchemaVersion = 2
 
 // KeySize is the size of a cache key in bytes (SHA-256).
 const KeySize = sha256.Size
@@ -141,12 +147,15 @@ var (
 //
 //  1. A clean VCS stamp from debug.ReadBuildInfo ("vcs:<revision>") — the
 //     normal case for binaries built from a committed tree.
-//  2. A hash of the executable file itself ("bin:<sha256-prefix>") — the
-//     documented fallback for unversioned builds (dirty trees, `go run`,
-//     `go test` binaries). Any code change produces a different binary and
-//     therefore a different fingerprint, at the cost of one file hash per
-//     process.
-//  3. The constant "unversioned" when the executable cannot be read (the
+//  2. The content part of the Go build ID the linker stamped into the
+//     executable ("build:<content-id>") — the case for unversioned builds
+//     (dirty trees, trees outside git, `go run`, `go test` binaries). The
+//     linker derives it from a hash of the linked binary, so any code or
+//     -ldflags change yields a different fingerprint, and reading it costs
+//     one header read instead of a hash of the whole file.
+//  3. A hash of the executable file itself ("bin:<sha256-prefix>") for
+//     binaries linked without a build ID (-ldflags=-buildid=).
+//  4. The constant "unversioned" when the executable cannot be read (the
 //     last resort; such builds share one key space, so stale entries must
 //     be cleared manually after code changes).
 //
@@ -171,14 +180,66 @@ func computeFingerprint() string {
 			return "vcs:" + revision
 		}
 	}
-	if exe, err := os.Executable(); err == nil {
-		if f, err := os.Open(exe); err == nil {
-			defer f.Close()
-			h := sha256.New()
-			if _, err := io.Copy(h, f); err == nil {
-				return "bin:" + hex.EncodeToString(h.Sum(nil)[:16])
-			}
+	exe, err := os.Executable()
+	if err != nil {
+		return "unversioned"
+	}
+	if id := goBuildID(exe); id != "" {
+		// The ID is actionID/contentID pairs; the last part is the
+		// content hash of the linked binary.
+		return "build:" + id[strings.LastIndexByte(id, '/')+1:]
+	}
+	if f, err := os.Open(exe); err == nil {
+		defer f.Close()
+		h := sha256.New()
+		if _, err := io.Copy(h, f); err == nil {
+			return "bin:" + hex.EncodeToString(h.Sum(nil)[:16])
 		}
 	}
 	return "unversioned"
+}
+
+// goBuildID reads the Go build ID of the executable at path, or "" when it
+// has none. ELF binaries carry it in the "Go" note of .note.go.buildid;
+// other formats carry the quoted marker string near the start of the text
+// segment, which is what `go tool buildid` reads too.
+func goBuildID(path string) string {
+	if f, err := elf.Open(path); err == nil {
+		defer f.Close()
+		sec := f.Section(".note.go.buildid")
+		if sec == nil {
+			return ""
+		}
+		note, err := sec.Data()
+		if err != nil || len(note) < 16 {
+			return ""
+		}
+		nameSize := f.ByteOrder.Uint32(note[0:])
+		descSize := f.ByteOrder.Uint32(note[4:])
+		const goNoteType = 4
+		if nameSize != 4 || f.ByteOrder.Uint32(note[8:]) != goNoteType ||
+			string(note[12:16]) != "Go\x00\x00" || uint64(len(note)) < 16+uint64(descSize) {
+			return ""
+		}
+		return string(note[16 : 16+descSize])
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return ""
+	}
+	defer f.Close()
+	head := make([]byte, 32<<10)
+	n, _ := io.ReadFull(f, head)
+	head = head[:n]
+	const marker = "\xff Go build ID: \""
+	i := bytes.Index(head, []byte(marker))
+	if i < 0 {
+		return ""
+	}
+	id := head[i+len(marker):]
+	end := bytes.IndexByte(id, '"')
+	if end < 0 {
+		return ""
+	}
+	return string(id[:end])
 }

@@ -1,6 +1,9 @@
 package resultcache
 
 import (
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -75,8 +78,82 @@ func TestFingerprintStable(t *testing.T) {
 	if fp != Fingerprint() {
 		t.Fatal("fingerprint changed between calls")
 	}
-	if !strings.HasPrefix(fp, "vcs:") && !strings.HasPrefix(fp, "bin:") && fp != "unversioned" {
+	if !strings.HasPrefix(fp, "vcs:") && !strings.HasPrefix(fp, "build:") &&
+		!strings.HasPrefix(fp, "bin:") && fp != "unversioned" {
 		t.Fatalf("unexpected fingerprint form %q", fp)
+	}
+}
+
+// TestFingerprintBuildID: an unversioned binary is fingerprinted by its Go
+// build ID. Running one binary twice gives one fingerprint; two binaries
+// that differ only in an -ldflags=-X value — which a cell key must tell
+// apart — give two.
+func TestFingerprintBuildID(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds two binaries")
+	}
+	dir := t.TempDir()
+	build := func(name, stamp string) string {
+		bin := filepath.Join(dir, name)
+		cmd := exec.Command("go", "build", "-buildvcs=false",
+			"-ldflags=-X main.stamp="+stamp, "-o", bin, "./testdata/fingerprint")
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("go build: %v\n%s", err, out)
+		}
+		return bin
+	}
+	run := func(bin string) string {
+		out, err := exec.Command(bin).Output()
+		if err != nil {
+			t.Fatalf("%s: %v", bin, err)
+		}
+		return strings.TrimSpace(string(out))
+	}
+	a, b := build("a", "one"), build("b", "two")
+	fa := run(a)
+	if !strings.HasPrefix(fa, "build:") {
+		t.Fatalf("unversioned binary fingerprint %q, want the build: form", fa)
+	}
+	if again := run(a); again != fa {
+		t.Fatalf("same binary, two fingerprints: %q, %q", fa, again)
+	}
+	if fb := run(b); fb == fa {
+		t.Fatalf("binaries differing in an -X value share fingerprint %q", fa)
+	}
+	if id := goBuildID(a); !strings.HasSuffix(id, strings.TrimPrefix(fa, "build:")) {
+		t.Fatalf("build ID %q does not end in fingerprint %q", id, fa)
+	}
+}
+
+// TestGoBuildIDMarkerScan covers goBuildID's path for executables that are
+// not ELF: the quoted build-ID marker in the file's first 32 KiB. None of
+// these files parses as ELF, so the scan runs on every platform.
+func TestGoBuildIDMarkerScan(t *testing.T) {
+	const marker = "\xff Go build ID: \""
+	pad := strings.Repeat("\x00", 100)
+	for _, tc := range []struct {
+		name, content, want string
+	}{
+		{"marker", pad + marker + "act/content\"\n\xff" + pad, "act/content"},
+		{"at start", marker + "a/b/c\"", "a/b/c"},
+		{"empty id", pad + marker + "\"", ""},
+		{"no closing quote", pad + marker + "act/content", ""},
+		{"no marker", pad + "Go build ID: \"act/content\"", ""},
+		{"past the scanned head", strings.Repeat("\x00", 32<<10) + marker + "x/y\"", ""},
+		{"empty file", "", ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "exe")
+			if err := os.WriteFile(path, []byte(tc.content), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if got := goBuildID(path); got != tc.want {
+				t.Fatalf("goBuildID = %q, want %q", got, tc.want)
+			}
+		})
+	}
+	if got := goBuildID(filepath.Join(t.TempDir(), "missing")); got != "" {
+		t.Fatalf("missing file: goBuildID = %q", got)
 	}
 }
 

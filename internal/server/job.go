@@ -9,14 +9,6 @@ import (
 	"tracerebase/internal/resultcache"
 )
 
-// validExps is the closed set of experiment names a job may request —
-// the same names cmd/rebase -exp accepts.
-var validExps = map[string]bool{
-	"all": true, "table1": true, "fig1": true, "fig2": true, "fig3": true,
-	"fig4": true, "fig5": true, "table2": true, "table3": true,
-	"ablation": true, "char": true,
-}
-
 // JobSpec is a sweep/table/ablation submission: the request body of
 // POST /jobs. Zero values select the batch CLI's defaults (exp=all,
 // step=1, instructions=150000, warmup=50000), so {"exp":"fig1"} is a
@@ -83,10 +75,8 @@ func (s *JobSpec) normalize() {
 // would reject.
 func (s *JobSpec) Validate() error {
 	s.normalize()
-	for _, e := range strings.Split(s.Exp, ",") {
-		if !validExps[e] {
-			return fmt.Errorf("unknown experiment %q", e)
-		}
+	if err := report.ValidateExp(s.Exp); err != nil {
+		return err
 	}
 	if s.Instructions <= 0 {
 		return fmt.Errorf("instructions must be positive (got %d)", s.Instructions)

@@ -202,6 +202,8 @@ func TestBadJobSpecRejected(t *testing.T) {
 
 	for _, body := range []string{
 		`{"exp":"nonsense"}`,
+		`{"exp":"fig1,tabel2"}`,
+		`{"exp":"fig1,"}`,
 		`{"exp":"fig1","instructions":-5}`,
 		`{"exp":"fig1","instructions":100,"warmup":100}`,
 		`not json`,
@@ -231,6 +233,32 @@ func TestStatusEndpointReportsTiers(t *testing.T) {
 	}
 	if st.Workers != 2 {
 		t.Fatalf("workers = %d, want 2", st.Workers)
+	}
+}
+
+// TestJobSpecExperimentNames: job specs accept exactly the experiment
+// names the batch CLI accepts, and a rejection names the bad entry.
+func TestJobSpecExperimentNames(t *testing.T) {
+	for _, tc := range []struct {
+		exp      string
+		rejected bool
+		names    string // the entry the error must name
+	}{
+		{exp: ""}, // normalizes to "all"
+		{exp: "all"},
+		{exp: "fig1, table2,ablation,char"},
+		{exp: "fig1,tabel2", rejected: true, names: "tabel2"},
+		{exp: "FIG1", rejected: true, names: "FIG1"},
+		{exp: "table3,", rejected: true, names: ""},
+	} {
+		spec := JobSpec{Exp: tc.exp}
+		err := spec.Validate()
+		switch {
+		case !tc.rejected && err != nil:
+			t.Errorf("exp %q rejected: %v", tc.exp, err)
+		case tc.rejected && (err == nil || !strings.Contains(err.Error(), `unknown experiment "`+tc.names+`"`)):
+			t.Errorf("exp %q: error %v, want one naming %q", tc.exp, err, tc.names)
+		}
 	}
 }
 
