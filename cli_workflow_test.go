@@ -65,8 +65,41 @@ func TestCLIFrontEnd(t *testing.T) {
 		}
 	})
 
+	// A flag the chosen mode never reads fails before any work, naming the
+	// flag; a removed flag is unknown to the flag parser.
+	t.Run("flag combinations", func(t *testing.T) {
+		small := []string{"-q", "-instructions", "4000", "-warmup", "1000", "-no-cache", "-no-trace-store", "-no-exp-store"}
+		for _, tc := range []struct {
+			args  []string
+			code  int
+			names string // what stderr must contain when code != 0
+		}{
+			{args: []string{"-cores", "2", "-coschedule", "srvcrypto", "-exp", "fig1"}, code: 1, names: "-exp does not apply to -coschedule"},
+			{args: []string{"-cores", "2", "-coschedule", "srvcrypto", "-step", "3"}, code: 1, names: "-step does not apply to -coschedule"},
+			{args: []string{"-exp", "", "-sample-period", "10000"}, code: 1, names: "-sample-period needs -sample"},
+			{args: []string{"-exp", "", "-sample-detail", "1000"}, code: 1, names: "-sample-detail needs -sample"},
+			{args: []string{"-exp", "", "-sample-warm", "0"}, code: 1, names: "-sample-warm needs -sample"},
+			{args: []string{"-exp", "", "-mem-limit", "off"}, code: 2, names: "-mem-limit"},
+			{args: []string{"-exp", "", "-cache=false"}, code: 2, names: "-cache"},
+			{args: []string{"-exp", "", "-trace-store=false"}, code: 2, names: "-trace-store"},
+			{args: []string{"-exp", "", "-exp-store=false"}, code: 2, names: "-exp-store"},
+			{args: []string{"-exp", "", "-sample", "-sample-period", "10000", "-sample-detail", "1000", "-sample-warm", "0"}},
+			{args: []string{"-cores", "2", "-coschedule", "srvcrypto"}},
+		} {
+			args := append(append([]string{}, tc.args...), small...)
+			stdout, stderr, code := run(args...)
+			switch {
+			case code != tc.code:
+				t.Errorf("rebase %q: exit %d, want %d\n%s", tc.args, code, tc.code, stderr)
+			case code != 0 && (stdout != "" || !strings.Contains(stderr, tc.names)):
+				t.Errorf("rebase %q: stdout %q, stderr %q; want no output and an error naming %q", tc.args, stdout, stderr, tc.names)
+			}
+		}
+	})
+
 	// Under -q the exp_store block must count the cells this run flushed,
-	// not those written before the closing flush.
+	// not those written before the closing flush. Every key the record
+	// has carried stays, so BENCH files remain comparable.
 	t.Run("bench-json exp store", func(t *testing.T) {
 		cacheDir := filepath.Join(dir, "cache")
 		benchPath := filepath.Join(dir, "bench.json")
@@ -103,5 +136,58 @@ func TestCLIFrontEnd(t *testing.T) {
 			t.Fatalf("bench-json: %d appends, %d cells written, %d cache misses; the store holds %d cells",
 				rec.ExpStore.Appends, rec.ExpStore.CellsWritten, rec.Cache.Misses, len(cells))
 		}
+		requireBenchKeys(t, data, map[string][]string{
+			"": {"experiment", "step", "instructions", "warmup", "parallelism", "num_cpu", "goos", "goarch",
+				"go_version", "no_skip", "wall_seconds", "timestamp", "cache", "cache_tiers", "skip",
+				"trace_store", "exp_store"},
+			"cache": cacheKeys,
+			"trace_store": {"hits", "mem_hits", "disk_hits", "misses", "converts", "prefetches", "corrupt",
+				"evictions", "write_errors", "bytes_mapped", "bytes_written"},
+			"exp_store": {"appends", "dup_skipped", "blocks_written", "cells_written", "compactions", "corrupt",
+				"foreign", "bytes_written"},
+		})
 	})
+
+	// A sampled run adds the checkpoint cache's block, with the result
+	// cache's counters.
+	t.Run("bench-json checkpoint cache", func(t *testing.T) {
+		benchPath := filepath.Join(dir, "bench_sample.json")
+		_, stderr, code := run("-exp", "ablation", "-sample", "-step", "27", "-instructions", "40000", "-warmup", "10000",
+			"-q", "-cache-dir", filepath.Join(dir, "cache_sample"), "-bench-json", benchPath)
+		if code != 0 {
+			t.Fatalf("rebase: exit %d\n%s", code, stderr)
+		}
+		data, err := os.ReadFile(benchPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireBenchKeys(t, data, map[string][]string{
+			"":                 {"sample", "checkpoint_cache"},
+			"checkpoint_cache": cacheKeys,
+		})
+	})
+}
+
+// cacheKeys are the counters -bench-json records for a result cache.
+var cacheKeys = []string{"hits", "mem_hits", "disk_hits", "misses", "corrupt", "evictions", "bytes_read", "bytes_written"}
+
+// requireBenchKeys fails unless the -bench-json record holds every key
+// listed for its block ("" is the top level).
+func requireBenchKeys(t *testing.T, data []byte, want map[string][]string) {
+	t.Helper()
+	var rec map[string]any
+	if err := json.Unmarshal(data, &rec); err != nil {
+		t.Fatal(err)
+	}
+	for block, keys := range want {
+		m := rec
+		if block != "" {
+			m, _ = rec[block].(map[string]any)
+		}
+		for _, k := range keys {
+			if _, ok := m[k]; !ok {
+				t.Errorf("bench-json: block %q has no key %q", block, k)
+			}
+		}
+	}
 }

@@ -20,9 +20,9 @@
 // each run. Use `traceinfo -cachekey` to inspect a cell's key derivation.
 //
 // Alongside the caches, every sweep records its result cells into a
-// columnar experiment store (<cache dir>/exp, flags -exp-store /
-// -no-exp-store / -exp-store-dir) and reads its rendered results back out
-// of it. The store is queryable without re-running anything:
+// columnar experiment store (<cache dir>/exp, relocated by -exp-store-dir,
+// disabled by -no-exp-store) and reads its rendered results back out of
+// it. The store is queryable without re-running anything:
 //
 //	rebase query 'category=srv variant=all,none metric=ipc group-by=rob stat=p50,p99'
 //
@@ -32,7 +32,8 @@
 // For performance work, -cpuprofile and -memprofile write pprof profiles
 // covering the whole run, and -bench-json records the wall-clock,
 // configuration, and cache activity of the run as a small JSON document
-// (see BENCH_1.json, BENCH_4.json).
+// (see BENCH_1.json, BENCH_4.json). The process runs under Go's default GC
+// pacer; set $GOGC or $GOMEMLIMIT to tune it.
 //
 // rebase -cores N -coschedule <spec>[,<spec>...] simulates co-scheduled
 // workload mixes on N lockstep cores over a shared LLC instead of the
@@ -81,6 +82,7 @@ import (
 	"tracerebase/internal/report"
 	"tracerebase/internal/resultcache"
 	"tracerebase/internal/synth"
+	"tracerebase/internal/tracestore"
 )
 
 func main() {
@@ -114,18 +116,14 @@ func run() (code int) {
 		benchJSON  = flag.String("bench-json", "", "write run timing and configuration as JSON to this file")
 		selftest   = flag.Bool("selftest", false, "run the conformance suite (positional args: trace files to validate)")
 		noSkip     = flag.Bool("no-skip", false, "disable event-horizon cycle skipping (results are identical; for verification and benchmarking)")
-		useCache   = flag.Bool("cache", true, "serve repeated (trace, variant, config) simulations from the result cache")
-		noCache    = flag.Bool("no-cache", false, "disable the result cache (overrides -cache)")
+		noCache    = flag.Bool("no-cache", false, "disable the result cache, which serves repeated (trace, variant, config) simulations")
 		cacheDir   = flag.String("cache-dir", "", "result cache directory (default $TRACEREBASE_CACHE_DIR or the user cache dir, e.g. ~/.cache/tracerebase)")
 
-		traceStore    = flag.Bool("trace-store", true, "serve converted traces from the compiled-trace slab store (zero-copy mmap, shared across runs and processes)")
-		noTraceStore  = flag.Bool("no-trace-store", false, "disable the compiled-trace store (overrides -trace-store)")
+		noTraceStore  = flag.Bool("no-trace-store", false, "disable the compiled-trace slab store, which serves converted traces (zero-copy mmap, shared across runs and processes)")
 		traceStoreDir = flag.String("trace-store-dir", "", "compiled-trace store directory (default <cache dir>/slabs)")
 
-		expStore    = flag.Bool("exp-store", true, "record sweep result cells into the columnar experiment store (queryable with `rebase query`)")
-		noExpStore  = flag.Bool("no-exp-store", false, "disable the experiment store (overrides -exp-store)")
+		noExpStore  = flag.Bool("no-exp-store", false, "disable the columnar experiment store, which records sweep result cells (queryable with `rebase query`)")
 		expStoreDir = flag.String("exp-store-dir", "", "experiment store directory (default <cache dir>/exp)")
-		memLimit    = flag.String("mem-limit", "auto", "soft memory limit: auto (parallelism-scaled, bounded by available RAM), off, or a size like 2GiB; ignored when $GOMEMLIMIT is set")
 
 		cores      = flag.Int("cores", 1, "simulate N lockstep cores over a shared LLC (requires -coschedule)")
 		coschedule = flag.String("coschedule", "", "comma-separated co-schedule scenarios to run on -cores cores: "+strings.Join(synth.CoScheduleSpecs(), ", "))
@@ -183,13 +181,18 @@ func run() (code int) {
 			return fail("-llc-policy/-mem-bandwidth only apply to -coschedule runs")
 		}
 	}
-
-	memPar := *parallel
-	if memPar <= 0 {
-		memPar = runtime.NumCPU()
+	// A flag the chosen mode never reads is a mistake, not a no-op.
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	for _, name := range []string{"sample-period", "sample-detail", "sample-warm"} {
+		if set[name] && !*sample {
+			return fail("-%s needs -sample", name)
+		}
 	}
-	if err := applyMemLimit(*memLimit, memPar); err != nil {
-		return fail("mem-limit: %v", err)
+	for _, name := range []string{"exp", "step"} {
+		if set[name] && *coschedule != "" {
+			return fail("-%s does not apply to -coschedule runs", name)
+		}
 	}
 
 	if *selftest {
@@ -251,62 +254,26 @@ func run() (code int) {
 		cfg.SampleDetail = *sampleDetail
 		cfg.SampleWarm = *sampleWarm
 	}
-	if *traceStore && !*noTraceStore {
-		// The slab store is independent of the result cache: -no-cache runs
-		// (which recompute every simulation) still skip generation and
-		// conversion when warm slabs exist.
-		dir := *traceStoreDir
-		if dir == "" && *cacheDir != "" {
-			dir = *cacheDir + "/slabs"
-		}
-		store, err := experiments.OpenSlabStore(dir, 0, func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "rebase: "+format+"\n", args...)
-		})
-		if err != nil {
-			// A broken store must never block the run; fall back to
-			// streaming conversion.
-			fmt.Fprintf(os.Stderr, "rebase: trace store disabled: %v\n", err)
-		} else {
-			cfg.Slabs = store
-			defer store.Close()
-		}
-	}
+	// The slab store is independent of the result cache: -no-cache runs
+	// (which recompute every simulation) still skip generation and
+	// conversion when warm slabs exist. The experiment store records
+	// single-core cells only.
+	defer openStores(&cfg, storeConfig{
+		cacheDir: *cacheDir,
+		slabDir:  *traceStoreDir,
+		expDir:   *expStoreDir,
+		noSlabs:  *noTraceStore,
+		noExp:    *noExpStore || *coschedule != "",
+	}, os.Stderr)()
 	var expMisses int
-	if *expStore && !*noExpStore && *coschedule == "" {
-		// The experiment store is the sweep's queryable record: every
-		// computed (or cache-hit) single-core cell is appended, and the
-		// results the run renders are read back out of the store.
-		dir := *expStoreDir
-		if dir == "" && *cacheDir != "" {
-			dir = *cacheDir + "/exp"
-		}
-		if dir == "" {
-			var err error
-			dir, err = experiments.DefaultExpStoreDir()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "rebase: experiment store disabled: %v\n", err)
-			}
-		}
-		if dir != "" {
-			store, err := expstore.Open(expstore.Config{Dir: dir, Warn: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "rebase: "+format+"\n", args...)
-			}})
-			if err != nil {
-				// A broken store must never block the run; results stay
-				// in-flight and queries simply see no new cells.
-				fmt.Fprintf(os.Stderr, "rebase: experiment store disabled: %v\n", err)
-			} else {
-				cfg.Exp = store
-				cfg.ExpMisses = func(n int) { expMisses += n }
-				defer store.Close()
-			}
-		}
+	if cfg.Exp != nil {
+		cfg.ExpMisses = func(n int) { expMisses += n }
 	}
 	if *coschedule != "" {
 		cfg.Cores = *cores
 		cfg.LLCPolicy = *llcPolicy
 		cfg.MemBandwidth = *memBW
-		if *useCache && !*noCache {
+		if !*noCache {
 			mc, err := experiments.OpenMultiCache(*cacheDir, 0)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "rebase: cache disabled: %v\n", err)
@@ -316,7 +283,7 @@ func run() (code int) {
 		}
 		return runCoSchedules(strings.Split(*coschedule, ","), cfg, *jsonOut, *quiet, *benchJSON, *exp, *step)
 	}
-	if *useCache && !*noCache {
+	if !*noCache {
 		cache, err := experiments.OpenResultCache(*cacheDir, 0)
 		if err != nil {
 			// A broken cache must never block the run; fall back to the
@@ -378,25 +345,7 @@ func run() (code int) {
 			}
 			fmt.Fprintf(os.Stderr, "sample: interval IPC ±95%% CI per category: %s\n", strings.Join(parts, ", "))
 		}
-		if cfg.Cache != nil {
-			s := cfg.Cache.Stats()
-			fmt.Fprintf(os.Stderr, "cache: %d hits (%d mem, %d disk), %d misses, %d corrupt, %d evicted, %.1f MB read, %.1f MB written (%s)\n",
-				s.Hits, s.MemHits, s.DiskHits, s.Misses, s.Corrupt, s.Evictions,
-				float64(s.BytesRead)/1e6, float64(s.BytesWritten)/1e6, cfg.Cache.Dir())
-		}
-		if cfg.Checkpoints != nil {
-			s := cfg.Checkpoints.Stats()
-			fmt.Fprintf(os.Stderr, "checkpoints: %d hits (%d mem, %d disk), %d misses, %.1f MB read, %.1f MB written\n",
-				s.Hits, s.MemHits, s.DiskHits, s.Misses,
-				float64(s.BytesRead)/1e6, float64(s.BytesWritten)/1e6)
-		}
-		printSlabStats(cfg.Slabs)
-		if cfg.Exp != nil {
-			s := cfg.Exp.Stats()
-			fmt.Fprintf(os.Stderr, "exp-store: %d cells appended (%d dup), %d read-back misses, %d blocks written, %d compactions, %d corrupt, %.1f MB written (%s)\n",
-				s.Appends, s.DupSkipped, expMisses, s.BlocksWritten, s.Compactions, s.Corrupt,
-				float64(s.BytesWritten)/1e6, cfg.Exp.Dir())
-		}
+		printStoreStats(cfg, expMisses)
 		fmt.Fprintf(os.Stderr, "total: %.1fs\n", elapsed.Seconds())
 	}
 	if *benchJSON != "" {
@@ -410,24 +359,24 @@ func run() (code int) {
 // benchRecord is the schema of -bench-json output: enough context to make
 // a recorded wall-clock comparable across machines and configurations.
 type benchRecord struct {
-	Experiment   string      `json:"experiment"`
-	Step         int         `json:"step"`
-	Instructions int         `json:"instructions"`
-	Warmup       uint64      `json:"warmup"`
-	Parallelism  int         `json:"parallelism"`
-	NumCPU       int         `json:"num_cpu"`
-	GOOS         string      `json:"goos"`
-	GOARCH       string      `json:"goarch"`
-	GoVersion    string      `json:"go_version"`
-	NoSkip       bool        `json:"no_skip"`
-	WallSeconds  float64     `json:"wall_seconds"`
-	Timestamp    string      `json:"timestamp"`
-	Cache        *benchCache `json:"cache,omitempty"`
+	Experiment   string             `json:"experiment"`
+	Step         int                `json:"step"`
+	Instructions int                `json:"instructions"`
+	Warmup       uint64             `json:"warmup"`
+	Parallelism  int                `json:"parallelism"`
+	NumCPU       int                `json:"num_cpu"`
+	GOOS         string             `json:"goos"`
+	GOARCH       string             `json:"goarch"`
+	GoVersion    string             `json:"go_version"`
+	NoSkip       bool               `json:"no_skip"`
+	WallSeconds  float64            `json:"wall_seconds"`
+	Timestamp    string             `json:"timestamp"`
+	Cache        *resultcache.Stats `json:"cache,omitempty"`
 	// CacheTiers breaks the result-cache backend down per tier (memory,
 	// disk, remote) with hit/miss/latency/byte counters.
 	CacheTiers []resultcache.BackendStats `json:"cache_tiers,omitempty"`
 	// CheckpointCache records warmed-checkpoint reuse in sampled runs.
-	CheckpointCache *benchCache `json:"checkpoint_cache,omitempty"`
+	CheckpointCache *resultcache.Stats `json:"checkpoint_cache,omitempty"`
 	// Skip carries per-category cycle-skipping fractions when the run
 	// included the figure sweep.
 	Skip []report.SkipStat `json:"skip,omitempty"`
@@ -438,51 +387,10 @@ type benchRecord struct {
 	Multi *benchMultiBlock `json:"multi,omitempty"`
 	// TraceStore records compiled-trace slab store activity: a warm store
 	// shows disk hits and zero converts.
-	TraceStore *benchTraceStore `json:"trace_store,omitempty"`
+	TraceStore *tracestore.Stats `json:"trace_store,omitempty"`
 	// ExpStore records columnar experiment-store activity: a warm store
 	// shows every offered cell deduplicated and nothing written.
-	ExpStore *benchExpStore `json:"exp_store,omitempty"`
-}
-
-// benchExpStore records experiment-store activity so a BENCH file
-// distinguishes first-run appends from warm dedup re-runs.
-type benchExpStore struct {
-	Appends       uint64 `json:"appends"`
-	DupSkipped    uint64 `json:"dup_skipped"`
-	BlocksWritten uint64 `json:"blocks_written"`
-	CellsWritten  uint64 `json:"cells_written"`
-	Compactions   uint64 `json:"compactions"`
-	Corrupt       uint64 `json:"corrupt"`
-	Foreign       uint64 `json:"foreign"`
-	BytesWritten  uint64 `json:"bytes_written"`
-}
-
-// benchTraceStore records slab-store activity so a BENCH file distinguishes
-// slab-cold runs (all converts) from slab-warm runs (all mapped hits).
-type benchTraceStore struct {
-	Hits         uint64 `json:"hits"`
-	MemHits      uint64 `json:"mem_hits"`
-	DiskHits     uint64 `json:"disk_hits"`
-	Misses       uint64 `json:"misses"`
-	Converts     uint64 `json:"converts"`
-	Prefetches   uint64 `json:"prefetches"`
-	Corrupt      uint64 `json:"corrupt"`
-	Evictions    uint64 `json:"evictions"`
-	WriteErrors  uint64 `json:"write_errors"`
-	BytesMapped  uint64 `json:"bytes_mapped"`
-	BytesWritten uint64 `json:"bytes_written"`
-}
-
-// printSlabStats prints the compiled-trace store trailer line (no-op when
-// the store is disabled).
-func printSlabStats(store *experiments.SlabStore) {
-	if store == nil {
-		return
-	}
-	s := store.Stats()
-	fmt.Fprintf(os.Stderr, "slabs: %d hits (%d mem, %d disk), %d misses, %d converted, %d prefetched, %d corrupt, %.1f MB mapped, %.1f MB written (%s)\n",
-		s.Hits, s.MemHits, s.DiskHits, s.Misses, s.Converts, s.Prefetches, s.Corrupt,
-		float64(s.BytesMapped)/1e6, float64(s.BytesWritten)/1e6, store.Dir())
+	ExpStore *expstore.Stats `json:"exp_store,omitempty"`
 }
 
 // benchSampleBlock groups the sampling parameters with the per-category
@@ -492,19 +400,6 @@ type benchSampleBlock struct {
 	Detail     uint64              `json:"detail"`
 	Warm       uint64              `json:"warm"`
 	Categories []report.SampleStat `json:"categories,omitempty"`
-}
-
-// benchCache records result-cache activity so a BENCH file distinguishes
-// cold runs (all misses) from warm runs (all hits).
-type benchCache struct {
-	Hits         uint64 `json:"hits"`
-	MemHits      uint64 `json:"mem_hits"`
-	DiskHits     uint64 `json:"disk_hits"`
-	Misses       uint64 `json:"misses"`
-	Corrupt      uint64 `json:"corrupt"`
-	Evictions    uint64 `json:"evictions"`
-	BytesRead    uint64 `json:"bytes_read"`
-	BytesWritten uint64 `json:"bytes_written"`
 }
 
 func writeBenchJSON(path, exp string, step int, cfg experiments.SweepConfig, elapsed time.Duration, skipCats []report.SkipStat, sampleCats []report.SampleStat, multi *benchMultiBlock) error {
@@ -530,46 +425,24 @@ func writeBenchJSON(path, exp string, step int, cfg experiments.SweepConfig, ela
 	}
 	if cfg.MultiCache != nil {
 		s := cfg.MultiCache.Stats()
-		rec.Cache = &benchCache{
-			Hits: s.Hits, MemHits: s.MemHits, DiskHits: s.DiskHits,
-			Misses: s.Misses, Corrupt: s.Corrupt, Evictions: s.Evictions,
-			BytesRead: s.BytesRead, BytesWritten: s.BytesWritten,
-		}
+		rec.Cache = &s
 	}
 	if cfg.Cache != nil {
 		s := cfg.Cache.Stats()
-		rec.Cache = &benchCache{
-			Hits: s.Hits, MemHits: s.MemHits, DiskHits: s.DiskHits,
-			Misses: s.Misses, Corrupt: s.Corrupt, Evictions: s.Evictions,
-			BytesRead: s.BytesRead, BytesWritten: s.BytesWritten,
-		}
+		rec.Cache = &s
 		rec.CacheTiers = cfg.Cache.TierStats()
 	}
 	if cfg.Checkpoints != nil {
 		s := cfg.Checkpoints.Stats()
-		rec.CheckpointCache = &benchCache{
-			Hits: s.Hits, MemHits: s.MemHits, DiskHits: s.DiskHits,
-			Misses: s.Misses, Corrupt: s.Corrupt, Evictions: s.Evictions,
-			BytesRead: s.BytesRead, BytesWritten: s.BytesWritten,
-		}
+		rec.CheckpointCache = &s
 	}
 	if cfg.Slabs != nil {
 		s := cfg.Slabs.Stats()
-		rec.TraceStore = &benchTraceStore{
-			Hits: s.Hits, MemHits: s.MemHits, DiskHits: s.DiskHits,
-			Misses: s.Misses, Converts: s.Converts, Prefetches: s.Prefetches,
-			Corrupt: s.Corrupt, Evictions: s.Evictions, WriteErrors: s.WriteErrors,
-			BytesMapped: s.BytesMapped, BytesWritten: s.BytesWritten,
-		}
+		rec.TraceStore = &s
 	}
 	if cfg.Exp != nil {
 		s := cfg.Exp.Stats()
-		rec.ExpStore = &benchExpStore{
-			Appends: s.Appends, DupSkipped: s.DupSkipped,
-			BlocksWritten: s.BlocksWritten, CellsWritten: s.CellsWritten,
-			Compactions: s.Compactions, Corrupt: s.Corrupt, Foreign: s.Foreign,
-			BytesWritten: s.BytesWritten,
-		}
+		rec.ExpStore = &s
 	}
 	if cfg.SamplePeriod > 0 {
 		rec.Sample = &benchSampleBlock{

@@ -61,13 +61,7 @@ func runCoSchedules(specs []string, cfg experiments.SweepConfig, jsonOut, quiet 
 			}
 			fmt.Fprintf(os.Stderr, "skip %s: cycles jumped per core: %s\n", sc.Scenario, strings.Join(parts, ", "))
 		}
-		if cfg.MultiCache != nil {
-			s := cfg.MultiCache.Stats()
-			fmt.Fprintf(os.Stderr, "cache: %d hits (%d mem, %d disk), %d misses, %d corrupt, %d evicted, %.1f MB read, %.1f MB written (%s)\n",
-				s.Hits, s.MemHits, s.DiskHits, s.Misses, s.Corrupt, s.Evictions,
-				float64(s.BytesRead)/1e6, float64(s.BytesWritten)/1e6, cfg.MultiCache.Dir())
-		}
-		printSlabStats(cfg.Slabs)
+		printStoreStats(cfg, 0)
 		fmt.Fprintf(os.Stderr, "total: %.1fs\n", elapsed.Seconds())
 	}
 	if benchPath != "" {

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"tracerebase/internal/experiments"
-	"tracerebase/internal/expstore"
 	"tracerebase/internal/resultcache"
 	"tracerebase/internal/server"
 )
@@ -83,28 +82,7 @@ func runServe(args []string) int {
 	} else {
 		fmt.Fprintf(log, "rebase: checkpoint cache disabled: %v\n", err)
 	}
-	if !*noSlabs {
-		store, err := experiments.OpenSlabStore(dir+"/slabs", 0, func(format string, a ...any) {
-			fmt.Fprintf(log, "rebase: "+format+"\n", a...)
-		})
-		if err != nil {
-			fmt.Fprintf(log, "rebase: trace store disabled: %v\n", err)
-		} else {
-			base.Slabs = store
-			defer store.Close()
-		}
-	}
-	if !*noExpStore {
-		store, err := expstore.Open(expstore.Config{Dir: dir + "/exp", Warn: func(format string, a ...any) {
-			fmt.Fprintf(log, "rebase: "+format+"\n", a...)
-		}})
-		if err != nil {
-			fmt.Fprintf(log, "rebase: experiment store disabled: %v\n", err)
-		} else {
-			base.Exp = store
-			defer store.Close()
-		}
-	}
+	defer openStores(&base, storeConfig{cacheDir: dir, noSlabs: *noSlabs, noExp: *noExpStore}, log)()
 
 	srv := server.New(server.Config{
 		Backend: backend,

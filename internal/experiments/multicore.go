@@ -258,39 +258,26 @@ func RunMultiSweep(scenario string, workloads []synth.Profile, cfg SweepConfig) 
 	nv := len(cfg.Variants)
 	canonRes := make([]CoSchedResult, nv)
 	cellErrs := make([]error, nv)
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Parallelism; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for vi := range jobs {
-				v := cfg.Variants[vi]
-				simCfg := cfg.multiSimConfigFor(v.Opts)
-				compute := func() (CoSchedResult, error) {
-					return runMultiVariant(canon, generate, instrs, v, simCfg, &cfg)
-				}
-				var res CoSchedResult
-				var err error
-				if cfg.MultiCache != nil {
-					key := multiCacheKey(canon, v.Opts, simCfg, cfg.Instructions, cfg.Warmup)
-					res, err = cfg.MultiCache.GetOrCompute(key, compute)
-				} else {
-					res, err = compute()
-				}
-				if err != nil {
-					cellErrs[vi] = fmt.Errorf("experiments: %s/%s: %w", scenario, v.Name, err)
-					continue
-				}
-				canonRes[vi] = res
-			}
-		}()
-	}
-	for vi := 0; vi < nv; vi++ {
-		jobs <- vi
-	}
-	close(jobs)
-	wg.Wait()
+	forEach(nv, cfg.Parallelism, func(vi int) {
+		v := cfg.Variants[vi]
+		simCfg := cfg.multiSimConfigFor(v.Opts)
+		compute := func() (CoSchedResult, error) {
+			return runMultiVariant(canon, generate, instrs, v, simCfg, &cfg)
+		}
+		var res CoSchedResult
+		var err error
+		if cfg.MultiCache != nil {
+			key := multiCacheKey(canon, v.Opts, simCfg, cfg.Instructions, cfg.Warmup)
+			res, err = cfg.MultiCache.GetOrCompute(key, compute)
+		} else {
+			res, err = compute()
+		}
+		if err != nil {
+			cellErrs[vi] = fmt.Errorf("experiments: %s/%s: %w", scenario, v.Name, err)
+			return
+		}
+		canonRes[vi] = res
+	})
 
 	out := MultiTraceResult{
 		Scenario:  scenario,

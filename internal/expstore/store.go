@@ -31,26 +31,27 @@ type Config struct {
 }
 
 // Stats are the store's observability counters, all cumulative since Open.
+// The json names are the ones `rebase -bench-json` records.
 type Stats struct {
 	// Appends is cells offered; DupSkipped of those were already present
 	// (on disk or pending) under the same content key and were dropped.
-	Appends    uint64
-	DupSkipped uint64
+	Appends    uint64 `json:"appends"`
+	DupSkipped uint64 `json:"dup_skipped"`
 	// BlocksWritten / CellsWritten / BytesWritten cover both fresh flushes
 	// and compaction outputs.
-	BlocksWritten uint64
-	CellsWritten  uint64
-	BytesWritten  uint64
+	BlocksWritten uint64 `json:"blocks_written"`
+	CellsWritten  uint64 `json:"cells_written"`
+	BytesWritten  uint64 `json:"bytes_written"`
 	// Compactions counts merge passes; BlocksCompacted the inputs retired.
-	Compactions     uint64
-	BlocksCompacted uint64
+	Compactions     uint64 `json:"compactions"`
+	BlocksCompacted uint64 `json:"blocks_compacted"`
 	// Corrupt blocks were removed (their cells return on the next sweep);
 	// Foreign blocks (other format or schema) are skipped but kept.
-	Corrupt uint64
-	Foreign uint64
+	Corrupt uint64 `json:"corrupt"`
+	Foreign uint64 `json:"foreign"`
 	// WriteErrors counts failed block writes. Appends degrade gracefully:
 	// the sweep result is still returned, the store just misses the cell.
-	WriteErrors uint64
+	WriteErrors uint64 `json:"write_errors"`
 }
 
 // blockRef is one on-disk block. Mappings are created lazily under

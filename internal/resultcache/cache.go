@@ -78,30 +78,35 @@ const DefaultMaxBytes = 1 << 30
 // Stats counts cache activity since Open. Hits+Misses is the number of
 // resolved lookups (single-flight waiters sharing another goroutine's
 // computation are counted under SharedWaits, not as lookups of their own).
+// The json names are the ones `rebase -bench-json` records.
 type Stats struct {
 	// Hits = MemHits + DiskHits.
-	Hits, Misses uint64
+	Hits   uint64 `json:"hits"`
+	Misses uint64 `json:"misses"`
 	// MemHits were served from the in-process decoded-value map, DiskHits
 	// from the backend (disk, or whatever tier composition backs the
 	// cache).
-	MemHits, DiskHits uint64
+	MemHits  uint64 `json:"mem_hits"`
+	DiskHits uint64 `json:"disk_hits"`
 	// SharedWaits counts single-flight joins: lookups that blocked on an
 	// identical in-flight computation instead of duplicating it.
-	SharedWaits uint64
+	SharedWaits uint64 `json:"shared_waits"`
 	// Computes counts invocations of the caller's compute function;
 	// Errors counts the ones that failed (failures are never stored).
-	Computes, Errors uint64
+	Computes uint64 `json:"computes"`
+	Errors   uint64 `json:"errors"`
 	// Corrupt counts entries that failed validation and were discarded;
 	// each also shows up as a miss and a recompute.
-	Corrupt uint64
+	Corrupt uint64 `json:"corrupt"`
 	// Evictions counts entries removed by a size bound.
-	Evictions uint64
+	Evictions uint64 `json:"evictions"`
 	// WriteErrors counts store failures; the computed value is still
 	// returned to the caller, so a read-only cache degrades gracefully.
-	WriteErrors uint64
+	WriteErrors uint64 `json:"write_errors"`
 	// BytesRead and BytesWritten count payload-carrying bytes moved
 	// through the backend tiers.
-	BytesRead, BytesWritten uint64
+	BytesRead    uint64 `json:"bytes_read"`
+	BytesWritten uint64 `json:"bytes_written"`
 }
 
 type flight[T any] struct {

@@ -88,12 +88,12 @@ type Pipeline struct {
 	arenaMask uint32
 
 	// Front end.
-	la      lookahead
-	ftq     []uref // ring, capacity ≥ FTQSize
-	ftqMask uint32
-	ftqHead uint32
-	ftqLen  int
-	decq    []uref // ring, capacity ≥ DecodeQueue
+	la        lookahead
+	ftq       []uref // ring, capacity ≥ FTQSize
+	ftqMask   uint32
+	ftqHead   uint32
+	ftqLen    int
+	decq      []uref // ring, capacity ≥ DecodeQueue
 	decqMask  uint32
 	decqHead  uint32
 	decqLen   int

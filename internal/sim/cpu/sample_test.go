@@ -94,7 +94,7 @@ func tagOverlap(a, b []uint64) float64 {
 // occupancy), so their resident tag sets must agree to a high fraction.
 func TestFunctionalWarmingEquivalence(t *testing.T) {
 	profiles := []synth.Profile{
-		synth.StressIdle(),                  // serialized pointer chase
+		synth.StressIdle(),                   // serialized pointer chase
 		synth.PublicProfile(synth.Server, 3), // branchy, indirect-heavy
 	}
 	for _, prof := range profiles {

@@ -46,31 +46,36 @@ const DefaultMaxBytes = 8 << 30
 // unset.
 const DefaultMaxResident = 32
 
-// Stats counts store activity since Open.
+// Stats counts store activity since Open. The json names are the ones
+// `rebase -bench-json` records.
 type Stats struct {
 	// Hits = MemHits + DiskHits. Misses each trigger one conversion.
-	Hits, Misses uint64
+	Hits   uint64 `json:"hits"`
+	Misses uint64 `json:"misses"`
 	// MemHits were served from an already-resident mapping, DiskHits by
 	// mapping (and validating) a slab file.
-	MemHits, DiskHits uint64
+	MemHits  uint64 `json:"mem_hits"`
+	DiskHits uint64 `json:"disk_hits"`
 	// SharedWaits counts single-flight joins on an in-progress conversion.
-	SharedWaits uint64
+	SharedWaits uint64 `json:"shared_waits"`
 	// Converts counts invocations of the caller's convert function;
 	// ConvertErrors counts the ones that failed (never stored).
-	Converts, ConvertErrors uint64
+	Converts      uint64 `json:"converts"`
+	ConvertErrors uint64 `json:"convert_errors"`
 	// Corrupt counts slab files that failed validation and were discarded;
 	// each also shows up as a miss and a reconversion.
-	Corrupt uint64
+	Corrupt uint64 `json:"corrupt"`
 	// Evictions counts slab files removed by the disk LRU bound.
-	Evictions uint64
+	Evictions uint64 `json:"evictions"`
 	// WriteErrors counts persist failures; the converted slab is still
 	// served from the heap, so a read-only store degrades gracefully.
-	WriteErrors uint64
+	WriteErrors uint64 `json:"write_errors"`
 	// Prefetches counts slabs warmed ahead of use by Prefetch.
-	Prefetches uint64
+	Prefetches uint64 `json:"prefetches"`
 	// BytesMapped counts slab file bytes mapped from disk; BytesWritten
 	// counts slab file bytes persisted.
-	BytesMapped, BytesWritten uint64
+	BytesMapped  uint64 `json:"bytes_mapped"`
+	BytesWritten uint64 `json:"bytes_written"`
 }
 
 // ConvertFunc builds the records for a slab on a store miss. scratch is a
