@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: build vet test test-race conformance fuzz-smoke bench-smoke bench bench-compare bench-cache bench-slabs serve bench-serve bench-query
+.PHONY: build vet test test-race conformance fuzz-smoke bench-smoke bench bench-compare serve bench-serve
 
 build:
 	$(GO) build ./...
@@ -37,8 +37,12 @@ fuzz-smoke:
 bench-smoke:
 	$(GO) test -run xxx -bench 'ConvertSimulate|SweepStreaming|BenchmarkMultiCorePipeline$$|BenchmarkSlab' -benchtime 3x .
 
+# The repo's benchmark: the workloads of BENCHMARK.json (cold_all,
+# slabwarm_all, warm_all, service_mix) with per-layer attribution. Run
+# bench/run.sh directly to pick a workload, seed or repeat count; see
+# bench/README.md.
 bench:
-	$(GO) test -bench . -benchmem .
+	bash bench/run.sh
 
 # Paired before/after benchmark comparison: runs the simulator-core
 # benchmarks on the working tree and on REF (default HEAD, stashing any
@@ -49,19 +53,6 @@ bench:
 REF ?= HEAD
 bench-compare:
 	scripts/bench_compare.sh $(REF) $(BENCH)
-
-# Cold/warm result-cache pair against a fresh store: the warm run must be
-# near-instant with byte-identical output. See EXPERIMENTS.md "Warm/cold
-# cache benchmark workflow"; BENCH_4.json records the headline pair.
-STEP ?= 3
-bench-cache:
-	$(GO) build -o /tmp/rebase-bench ./cmd/rebase
-	@dir=$$(mktemp -d); \
-	echo "cache dir: $$dir"; \
-	/tmp/rebase-bench -exp all -step $(STEP) -cache-dir $$dir >/tmp/bench-cache-cold.out; \
-	/tmp/rebase-bench -exp all -step $(STEP) -cache-dir $$dir >/tmp/bench-cache-warm.out; \
-	cmp /tmp/bench-cache-cold.out /tmp/bench-cache-warm.out && echo "outputs identical"; \
-	rm -rf $$dir
 
 # Run the sweep service in the foreground on the default port with the
 # default cache dir. SIGINT/SIGTERM drains in-flight jobs and flushes the
@@ -78,29 +69,7 @@ serve:
 # is the warm p50 (must sit well under 10ms). See EXPERIMENTS.md
 # "Service latency benchmark workflow".
 EXP ?= all
+STEP ?= 3
 SERVE_REPEATS ?= 20
 bench-serve:
 	scripts/bench_serve.sh $(EXP) $(STEP) $(SERVE_REPEATS)
-
-# Experiment-store query benchmark: populate a fresh store with the full
-# -exp all matrix, then compare block-pruned queries against -full-scan
-# baselines — identical rows required, with an aggregate bytes-read ratio
-# of at least 5x. Emits BENCH_10.json. See EXPERIMENTS.md "Query benchmark
-# workflow".
-QUERY_REPEATS ?= 10
-bench-query:
-	scripts/bench_query.sh $(STEP) $(QUERY_REPEATS)
-
-# Slab-cold/slab-warm pair with the result cache disabled, so every
-# simulation recomputes and the delta isolates the compiled-trace store
-# (generation + conversion hoisted out of the warm run). The warm run must
-# be faster with byte-identical output. BENCH_8.json records the headline
-# pair. See EXPERIMENTS.md "Warm-slab benchmark workflow".
-bench-slabs:
-	$(GO) build -o /tmp/rebase-bench ./cmd/rebase
-	@dir=$$(mktemp -d); \
-	echo "slab dir: $$dir"; \
-	time /tmp/rebase-bench -exp all -step $(STEP) -no-cache -trace-store-dir $$dir >/tmp/bench-slabs-cold.out; \
-	time /tmp/rebase-bench -exp all -step $(STEP) -no-cache -trace-store-dir $$dir >/tmp/bench-slabs-warm.out; \
-	cmp /tmp/bench-slabs-cold.out /tmp/bench-slabs-warm.out && echo "outputs identical"; \
-	rm -rf $$dir

@@ -2,11 +2,13 @@ package tracerebase
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -75,5 +77,87 @@ func TestCacheCrossProcess(t *testing.T) {
 	noSlabs := regexp.MustCompile(`slabs: 0 hits \(0 mem, 0 disk\), 0 misses, 0 converted, 0 prefetched, 0 corrupt, 0\.0 MB mapped`)
 	if !noSlabs.Match(warmErr) {
 		t.Fatalf("warm run touched the slab store:\n%s", warmErr)
+	}
+}
+
+// TestCacheConcurrentProcesses runs two rebase processes at the same time
+// on one -cache-dir, so the result cache, the slab store and the experiment
+// store all see two writers at once. Both outputs must equal a run with
+// every store off; the experiment store must count each cell once (the two
+// writers' duplicate rows collapse in queries); no temp file may be left
+// behind; and a third run must be served entirely from the cache.
+func TestCacheConcurrentProcesses(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the rebase binary")
+	}
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "rebase")
+	build := exec.Command("go", "build", "-o", bin, "./cmd/rebase")
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	cacheDir := filepath.Join(dir, "cache")
+	sweep := []string{"-exp", "fig1", "-step", "27", "-instructions", "4000", "-warmup", "1000"}
+	command := func(args ...string) (*exec.Cmd, *bytes.Buffer, *bytes.Buffer) {
+		cmd := exec.Command(bin, args...)
+		var outBuf, errBuf bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &outBuf, &errBuf
+		return cmd, &outBuf, &errBuf
+	}
+	run := func(args ...string) (stdout, stderr []byte) {
+		cmd, outBuf, errBuf := command(args...)
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("rebase %q: %v\nstderr:\n%s", args, err, errBuf.Bytes())
+		}
+		return outBuf.Bytes(), errBuf.Bytes()
+	}
+
+	want, _ := run(append(sweep, "-no-cache", "-no-trace-store", "-no-exp-store")...)
+
+	var cmds [2]*exec.Cmd
+	var outs, errs [2]*bytes.Buffer
+	for i := range cmds {
+		cmds[i], outs[i], errs[i] = command(append(sweep, "-cache-dir", cacheDir)...)
+		if err := cmds[i].Start(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, cmd := range cmds {
+		if err := cmd.Wait(); err != nil {
+			t.Fatalf("concurrent run %d: %v\nstderr:\n%s", i, err, errs[i].Bytes())
+		}
+		if !bytes.Equal(outs[i].Bytes(), want) {
+			t.Errorf("concurrent run %d output differs from the storeless run\ngot:\n%s\nwant:\n%s", i, outs[i].Bytes(), want)
+		}
+	}
+
+	filepath.WalkDir(cacheDir, func(path string, d os.DirEntry, err error) error {
+		if err == nil && strings.HasPrefix(d.Name(), "tmp-") {
+			t.Errorf("temp file left behind: %s", path)
+		}
+		return nil
+	})
+
+	_, warmErr := run(append(sweep, "-cache-dir", cacheDir)...)
+	m := regexp.MustCompile(`cache: (\d+) hits \(\d+ mem, \d+ disk\), (\d+) misses`).FindSubmatch(warmErr)
+	if m == nil {
+		t.Fatalf("no cache summary in stderr:\n%s", warmErr)
+	}
+	cells, _ := strconv.Atoi(string(m[1]))
+	if misses, _ := strconv.Atoi(string(m[2])); cells == 0 || misses != 0 {
+		t.Fatalf("third run: %d hits, %d misses; want every cell a hit", cells, misses)
+	}
+
+	out, _ := run("query", "-store-dir", filepath.Join(cacheDir, "exp"), "-json", "stat=count")
+	var res struct {
+		Rows []struct {
+			N int `json:"n"`
+		} `json:"rows"`
+	}
+	if err := json.Unmarshal(out, &res); err != nil {
+		t.Fatalf("query output: %v\n%s", err, out)
+	}
+	if len(res.Rows) != 1 || res.Rows[0].N != cells {
+		t.Errorf("query stat=count: rows %+v, want one row counting %d cells", res.Rows, cells)
 	}
 }

@@ -83,10 +83,16 @@ func TestCLIFrontEnd(t *testing.T) {
 			{args: []string{"-exp", "", "-cache=false"}, code: 2, names: "-cache"},
 			{args: []string{"-exp", "", "-trace-store=false"}, code: 2, names: "-trace-store"},
 			{args: []string{"-exp", "", "-exp-store=false"}, code: 2, names: "-exp-store"},
+			{args: []string{"-selftest", "-instructions", "1000"}, code: 1, names: "-instructions does not apply to -selftest"},
+			{args: []string{"-selftest", "-no-cache"}, code: 1, names: "-no-cache does not apply to -selftest"},
+			{args: []string{"-selftest", "-step", "9", "-exp", "fig1"}, code: 1, names: "-exp does not apply to -selftest"},
 			{args: []string{"-exp", "", "-sample", "-sample-period", "10000", "-sample-detail", "1000", "-sample-warm", "0"}},
 			{args: []string{"-cores", "2", "-coschedule", "srvcrypto"}},
 		} {
-			args := append(append([]string{}, tc.args...), small...)
+			args := tc.args
+			if args[0] != "-selftest" { // the selftest takes none of small's flags
+				args = append(append([]string{}, tc.args...), small...)
+			}
 			stdout, stderr, code := run(args...)
 			switch {
 			case code != tc.code:

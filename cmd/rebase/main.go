@@ -58,7 +58,7 @@
 // golden-corpus verification, the differential battery over the synthetic
 // suite, and the metamorphic simulator checks. Any positional arguments are
 // validated as user-supplied trace files (CVP-1 or ChampSim, optionally
-// gzipped):
+// gzipped). It reads only -step, -parallel and -q; any other flag exits 1:
 //
 //	rebase -selftest
 //	rebase -selftest -step 10          # every 10th trace, for quick runs
@@ -137,13 +137,30 @@ func run() (code int) {
 	)
 	flag.Parse()
 
+	// A flag the chosen mode never reads is a mistake, not a no-op.
+	set := map[string]bool{}
+	notSelftest := "" // first set flag the conformance suite does not read
+	flag.Visit(func(f *flag.Flag) {
+		set[f.Name] = true
+		switch f.Name {
+		case "selftest", "step", "parallel", "q":
+		default:
+			if notSelftest == "" {
+				notSelftest = f.Name
+			}
+		}
+	})
+	if *selftest && notSelftest != "" {
+		return fail("-%s does not apply to -selftest (it reads -step, -parallel, -q and trace files)", notSelftest)
+	}
+
 	// Reject nonsensical run shapes before any work starts: a warm-up
 	// consuming the whole run would leave every measurement region empty,
 	// and negative counts have no meaning.
 	if *instrs <= 0 {
 		return fail("-instructions must be positive (got %d)", *instrs)
 	}
-	if !*selftest && *warmup >= uint64(*instrs) {
+	if *warmup >= uint64(*instrs) {
 		return fail("-warmup %d >= -instructions %d leaves an empty measurement region", *warmup, *instrs)
 	}
 	if *parallel < 0 {
@@ -181,9 +198,6 @@ func run() (code int) {
 			return fail("-llc-policy/-mem-bandwidth only apply to -coschedule runs")
 		}
 	}
-	// A flag the chosen mode never reads is a mistake, not a no-op.
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	for _, name := range []string{"sample-period", "sample-detail", "sample-warm"} {
 		if set[name] && !*sample {
 			return fail("-%s needs -sample", name)

@@ -26,6 +26,8 @@ import (
 // reading their data, and only the referenced columns of the surviving
 // blocks are materialized; -full-scan forces the brute-force path that
 // decodes every block (identical rows, for verification and benchmarks).
+// Only cells written by this build count unless the query names the build
+// column, e.g. `group-by=build` or `build=vcs:<revision>`.
 func runQuery(args []string) int {
 	fs := flag.NewFlagSet("rebase query", flag.ExitOnError)
 	var (

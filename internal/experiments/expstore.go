@@ -41,6 +41,7 @@ func storeCell(p *synth.Profile, variant string, simCfg sim.Config, instructions
 		SamplePeriod: simCfg.SamplePeriod,
 		Instructions: uint64(instructions),
 		Warmup:       warmup,
+		Build:        resultcache.Fingerprint(),
 		Key:          key,
 		IPC:          res.IPC,
 		Sim:          res.Sim,

@@ -53,6 +53,10 @@ type Cell struct {
 	// produced the cell.
 	Instructions uint64
 	Warmup       uint64
+	// Build is the code fingerprint (resultcache.Fingerprint) of the
+	// binary that produced the cell, so queries can keep code versions
+	// apart.
+	Build string
 	// Key is the cell's full content address (profile, options, config
 	// identity, run lengths, code fingerprint) — the dedup and read-back
 	// handle.
@@ -121,6 +125,7 @@ var columns = []column{
 	uintCol("sample_period", func(c *Cell) *uint64 { return &c.SamplePeriod }),
 	uintCol("instructions", func(c *Cell) *uint64 { return &c.Instructions }),
 	uintCol("warmup", func(c *Cell) *uint64 { return &c.Warmup }),
+	dictCol("build", func(c *Cell) *string { return &c.Build }),
 	{name: "key", kind: kindKey, ckey: func(c *Cell) *Key { return &c.Key }},
 	floatCol("ipc", func(c *Cell) *float64 { return &c.IPC }),
 

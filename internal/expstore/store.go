@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
+
+	"tracerebase/internal/resultcache"
 )
 
 // Config configures a Store. The zero value plus Dir is usable.
@@ -438,19 +441,14 @@ func (s *Store) writeBlockLocked(cells []Cell, bm blockMeta, seq, gen int, bumpS
 	if err != nil {
 		return nil, err
 	}
-	tmp, err := os.CreateTemp(s.cfg.Dir, "tmp-*")
+	tmpPath, _, err := resultcache.WriteTemp(s.cfg.Dir, func(w io.Writer) error {
+		_, err := w.Write(img)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	tmpPath := tmp.Name()
 	defer os.Remove(tmpPath)
-	if _, err := tmp.Write(img); err != nil {
-		tmp.Close()
-		return nil, err
-	}
-	if err := tmp.Close(); err != nil {
-		return nil, err
-	}
 	var path string
 	for {
 		if bumpSeq {

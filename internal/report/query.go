@@ -4,9 +4,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"tracerebase/internal/expstore"
+	"tracerebase/internal/resultcache"
 )
 
 // variantAliases maps CLI-friendly spellings onto the artifact-style
@@ -42,11 +44,21 @@ func expandAliases(src string) string {
 // Query parses src (with variant aliases expanded) and executes it against
 // the experiment store — block-pruned by default, or by brute-force full
 // scan when fullScan is set (the comparison baseline: identical rows, no
-// pruning, every byte read).
+// pruning, every byte read). Unless src names the build column in a filter
+// or in group-by, only cells of the running build are counted: cell keys
+// include the build fingerprint, so cells of two builds never dedup
+// against each other and would otherwise be counted twice.
 func Query(store *expstore.Store, src string, fullScan bool) (*expstore.Result, error) {
 	q, err := expstore.ParseQuery(expandAliases(src))
 	if err != nil {
 		return nil, err
+	}
+	namesBuild := slices.Contains(q.GroupBy, "build")
+	for _, f := range q.Filters {
+		namesBuild = namesBuild || f.Col == "build"
+	}
+	if !namesBuild {
+		q.Filters = append(q.Filters, expstore.Filter{Col: "build", Vals: []string{resultcache.Fingerprint()}})
 	}
 	if fullScan {
 		return store.FullScan(q)

@@ -2,10 +2,9 @@ package resultcache
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"strings"
-	"sync"
 	"time"
 )
 
@@ -19,31 +18,16 @@ type DiskConfig struct {
 	MaxBytes int64
 }
 
-type diskEntry struct {
-	size  int64
-	atime int64 // logical LRU clock, not wall time
-}
-
-// Disk is the sharded on-disk backend: checksummed self-validating
-// records, atomic temp-file+rename writes, and mtime-seeded LRU eviction
-// under a size bound. It is the durable tier every other backend sits in
-// front of.
+// Disk is the on-disk backend: checksummed self-validating records in a
+// Shards directory (atomic publish, mtime-seeded LRU eviction under a size
+// bound). It is the durable tier every other backend sits in front of.
 type Disk struct {
-	dir      string // versioned root: DiskConfig.Dir/v<SchemaVersion>
-	maxBytes int64
-
+	shards  *Shards // rooted at DiskConfig.Dir/v<SchemaVersion>, entries *.rc
 	metrics tierMetrics
-
-	mu    sync.Mutex
-	disk  map[Key]diskEntry
-	total int64 // sum of disk entry sizes
-	clock int64 // LRU logical time
 }
 
 // NewDisk opens (creating if needed) the disk backend rooted at cfg.Dir
-// and indexes the entries already on disk. Leftover temp files from
-// interrupted writes are removed; files that do not look like entries are
-// ignored.
+// and indexes the entries already on disk.
 func NewDisk(cfg DiskConfig) (*Disk, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("resultcache: empty cache directory")
@@ -51,108 +35,34 @@ func NewDisk(cfg DiskConfig) (*Disk, error) {
 	if cfg.MaxBytes <= 0 {
 		cfg.MaxBytes = DefaultMaxBytes
 	}
-	root := filepath.Join(cfg.Dir, fmt.Sprintf("v%d", SchemaVersion))
-	if err := os.MkdirAll(root, 0o755); err != nil {
+	shards, err := OpenShards(filepath.Join(cfg.Dir, fmt.Sprintf("v%d", SchemaVersion)), ".rc", cfg.MaxBytes)
+	if err != nil {
 		return nil, fmt.Errorf("resultcache: %w", err)
 	}
-	d := &Disk{
-		dir:      root,
-		maxBytes: cfg.MaxBytes,
-		disk:     make(map[Key]diskEntry),
-	}
-	if err := d.scan(); err != nil {
-		return nil, err
-	}
-	return d, nil
-}
-
-// scan builds the disk index. Entry ages are seeded from file mtimes so
-// LRU order survives across processes (Chtimes on hits refreshes them).
-func (d *Disk) scan() error {
-	shards, err := os.ReadDir(d.dir)
-	if err != nil {
-		return fmt.Errorf("resultcache: %w", err)
-	}
-	type aged struct {
-		key   Key
-		size  int64
-		mtime time.Time
-	}
-	var found []aged
-	for _, sh := range shards {
-		if !sh.IsDir() || len(sh.Name()) != 2 {
-			continue
-		}
-		shardDir := filepath.Join(d.dir, sh.Name())
-		files, err := os.ReadDir(shardDir)
-		if err != nil {
-			continue
-		}
-		for _, f := range files {
-			name := f.Name()
-			if strings.HasPrefix(name, "tmp-") {
-				// Leftover from an interrupted write: a partial temp file
-				// was never renamed into place, so it is not an entry.
-				os.Remove(filepath.Join(shardDir, name))
-				continue
-			}
-			if !strings.HasSuffix(name, ".rc") {
-				continue
-			}
-			key, err := ParseKey(strings.TrimSuffix(name, ".rc"))
-			if err != nil {
-				continue
-			}
-			info, err := f.Info()
-			if err != nil {
-				continue
-			}
-			found = append(found, aged{key, info.Size(), info.ModTime()})
-		}
-	}
-	// Oldest first, so assigned logical times preserve on-disk LRU order.
-	for i := 1; i < len(found); i++ {
-		for j := i; j > 0 && found[j].mtime.Before(found[j-1].mtime); j-- {
-			found[j], found[j-1] = found[j-1], found[j]
-		}
-	}
-	for _, e := range found {
-		d.clock++
-		d.disk[e.key] = diskEntry{size: e.size, atime: d.clock}
-		d.total += e.size
-	}
-	return nil
+	return &Disk{shards: shards}, nil
 }
 
 // Name implements Backend.
 func (d *Disk) Name() string { return "disk" }
 
 // EntryPath returns where the entry for key lives (or would live) on disk.
-func (d *Disk) EntryPath(key Key) string {
-	hexKey := key.String()
-	return filepath.Join(d.dir, hexKey[:2], hexKey+".rc")
-}
+func (d *Disk) EntryPath(key Key) string { return d.shards.Path(key) }
 
 // Dir returns the versioned store root.
-func (d *Disk) Dir() string { return d.dir }
+func (d *Disk) Dir() string { return d.shards.Dir() }
 
 // Stat implements Backend.
 func (d *Disk) Stat() BackendStats { return d.metrics.snapshot(d.Name()) }
 
 // DiskBytes returns the indexed on-disk footprint.
-func (d *Disk) DiskBytes() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.total
-}
+func (d *Disk) DiskBytes() int64 { return d.shards.Bytes() }
 
 // Get implements Backend: it loads and validates the on-disk record for
 // key. Corrupt entries are discarded — counted, removed, reported as a
 // miss — never served.
 func (d *Disk) Get(key Key) ([]byte, error) {
 	start := time.Now()
-	path := d.EntryPath(key)
-	buf, err := os.ReadFile(path)
+	buf, err := os.ReadFile(d.shards.Path(key))
 	if err != nil {
 		d.metrics.observeGet(start, false, 0)
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, key)
@@ -161,122 +71,38 @@ func (d *Disk) Get(key Key) ([]byte, error) {
 	if err != nil {
 		// Corrupt or undecodable: discard so it is recomputed, never
 		// served.
-		os.Remove(path)
+		_ = d.shards.Drop(key) // best-effort: a survivor fails validation again
 		d.metrics.observeCorrupt()
-		d.mu.Lock()
-		if e, ok := d.disk[key]; ok {
-			d.total -= e.size
-			delete(d.disk, key)
-		}
-		d.mu.Unlock()
 		d.metrics.observeGet(start, false, 0)
 		return nil, fmt.Errorf("%w: %s: %v", ErrNotFound, key, err)
 	}
-	now := time.Now()
-	os.Chtimes(path, now, now) // refresh cross-process LRU age; best-effort
-	d.mu.Lock()
-	d.clock++
-	if e, ok := d.disk[key]; ok {
-		e.atime = d.clock
-		d.disk[key] = e
-	} else {
-		// Written by another process after our scan.
-		d.disk[key] = diskEntry{size: int64(len(buf)), atime: d.clock}
-		d.total += int64(len(buf))
-	}
-	d.mu.Unlock()
+	d.shards.Hit(key, int64(len(buf)))
 	d.metrics.observeGet(start, true, len(buf))
 	return payload, nil
 }
 
-// Put implements Backend: it frames payload as a self-validating record,
-// writes it atomically (temp file + rename, so a crash mid-write never
-// leaves a partial entry visible), indexes it, and evicts past the size
-// bound.
+// Put implements Backend: it frames payload as a self-validating record
+// and publishes it, evicting past the size bound.
 func (d *Disk) Put(key Key, payload []byte) (err error) {
 	start := time.Now()
 	rec := encodeRecord(key, payload)
 	defer func() { d.metrics.observePut(start, err, len(rec)) }()
-	path := d.EntryPath(key)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+	_, evicted, err := d.shards.Publish(key, func(w io.Writer) error {
+		_, err := w.Write(rec)
 		return err
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), "tmp-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(rec); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-
-	d.mu.Lock()
-	if e, ok := d.disk[key]; ok {
-		d.total -= e.size
-	}
-	d.clock++
-	d.disk[key] = diskEntry{size: int64(len(rec)), atime: d.clock}
-	d.total += int64(len(rec))
-	evict := d.collectEvictions(key)
-	d.mu.Unlock()
-	d.metrics.addEvictions(uint64(len(evict)))
-	for _, k := range evict {
-		os.Remove(d.EntryPath(k))
-	}
-	return nil
+	})
+	d.metrics.addEvictions(uint64(evicted))
+	return err
 }
 
 // Delete implements Backend.
 func (d *Disk) Delete(key Key) error {
 	d.metrics.observeDelete()
-	d.mu.Lock()
-	if e, ok := d.disk[key]; ok {
-		d.total -= e.size
-		delete(d.disk, key)
+	if err := d.shards.Drop(key); err != nil && !os.IsNotExist(err) {
+		return err
 	}
-	d.mu.Unlock()
-	err := os.Remove(d.EntryPath(key))
-	if err != nil && os.IsNotExist(err) {
-		return nil
-	}
-	return err
+	return nil
 }
 
 // Close implements Backend (no buffered state to flush).
 func (d *Disk) Close() error { return nil }
-
-// collectEvictions (mu held) trims the index to the size bound, oldest
-// first, sparing the just-written key, and returns the keys whose files
-// the caller must remove.
-func (d *Disk) collectEvictions(justWritten Key) []Key {
-	var out []Key
-	for d.total > d.maxBytes {
-		var victim Key
-		var victimAge int64
-		found := false
-		for k, e := range d.disk {
-			if k == justWritten {
-				continue
-			}
-			if !found || e.atime < victimAge {
-				victim, victimAge, found = k, e.atime, true
-			}
-		}
-		if !found {
-			break // only the fresh entry remains; keep it even if oversized
-		}
-		d.total -= d.disk[victim].size
-		delete(d.disk, victim)
-		out = append(out, victim)
-	}
-	return out
-}

@@ -7,10 +7,11 @@
 // per-record allocation — and the mapping is shared read-only across
 // variants, workers, and (through the page cache) processes.
 //
-// The store reuses the resultcache discipline: SHA-256 content keys,
-// sharded v<version>/<hh>/<key>.slab paths, atomic CreateTemp+Rename
-// writes, mtime-seeded LRU eviction under a byte budget, and single-flight
-// conversion. Unlike resultcache entries, slabs are keyed WITHOUT the build
+// The store keeps its files in a resultcache.Shards directory, as the
+// result cache does: SHA-256 content keys, sharded
+// v<version>/<hh>/<key>.slab paths, atomic temp-file+rename writes and
+// mtime-seeded LRU eviction under a byte budget. On top it adds mmap,
+// residency and single-flight conversion. Unlike resultcache entries, slabs are keyed WITHOUT the build
 // fingerprint — they survive rebuilds — so correctness is gated by explicit
 // algorithm versions (core.ConverterVersion, synth.GeneratorVersion,
 // FormatVersion) that must be bumped when output can change, backstopped by

@@ -3,13 +3,10 @@ package tracestore
 import (
 	"bufio"
 	"fmt"
-
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
-	"time"
 
 	"tracerebase/internal/champtrace"
 	"tracerebase/internal/core"
@@ -88,16 +85,10 @@ type flight struct {
 	err  error
 }
 
-type diskEntry struct {
-	size  int64
-	atime int64 // logical LRU clock, not wall time
-}
-
 // Store is the content-addressed slab store. All methods are safe for
 // concurrent use.
 type Store struct {
-	dir         string // versioned root: Config.Dir/v<FormatVersion>
-	maxBytes    int64
+	shards      *resultcache.Shards // rooted at Config.Dir/v<FormatVersion>, entries *.slab
 	maxResident int
 	warn        func(string, ...any)
 
@@ -110,9 +101,6 @@ type Store struct {
 	mu      sync.Mutex
 	open    map[Key]*Slab // resident slabs (mapped, reusable)
 	flights map[Key]*flight
-	disk    map[Key]diskEntry
-	total   int64 // sum of disk entry sizes
-	clock   int64 // disk LRU logical time
 	tick    uint64
 	stats   Stats
 	closed  bool
@@ -134,88 +122,24 @@ func Open(cfg Config) (*Store, error) {
 	if cfg.Warn == nil {
 		cfg.Warn = func(string, ...any) {}
 	}
-	root := filepath.Join(cfg.Dir, fmt.Sprintf("v%d", FormatVersion))
-	if err := os.MkdirAll(root, 0o755); err != nil {
+	shards, err := resultcache.OpenShards(filepath.Join(cfg.Dir, fmt.Sprintf("v%d", FormatVersion)), ".slab", cfg.MaxBytes)
+	if err != nil {
 		return nil, fmt.Errorf("tracestore: %w", err)
 	}
-	s := &Store{
-		dir:         root,
-		maxBytes:    cfg.MaxBytes,
+	return &Store{
+		shards:      shards,
 		maxResident: cfg.MaxResident,
 		warn:        cfg.Warn,
 		open:        make(map[Key]*Slab),
 		flights:     make(map[Key]*flight),
-		disk:        make(map[Key]diskEntry),
-	}
-	if err := s.scan(); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// scan builds the disk index, seeding LRU ages from file mtimes so
-// eviction order survives across processes.
-func (s *Store) scan() error {
-	shards, err := os.ReadDir(s.dir)
-	if err != nil {
-		return fmt.Errorf("tracestore: %w", err)
-	}
-	type aged struct {
-		key   Key
-		size  int64
-		mtime time.Time
-	}
-	var found []aged
-	for _, sh := range shards {
-		if !sh.IsDir() || len(sh.Name()) != 2 {
-			continue
-		}
-		shardDir := filepath.Join(s.dir, sh.Name())
-		files, err := os.ReadDir(shardDir)
-		if err != nil {
-			continue
-		}
-		for _, f := range files {
-			name := f.Name()
-			if strings.HasPrefix(name, "tmp-") {
-				os.Remove(filepath.Join(shardDir, name))
-				continue
-			}
-			if !strings.HasSuffix(name, ".slab") {
-				continue
-			}
-			key, err := resultcache.ParseKey(strings.TrimSuffix(name, ".slab"))
-			if err != nil {
-				continue
-			}
-			info, err := f.Info()
-			if err != nil {
-				continue
-			}
-			found = append(found, aged{key, info.Size(), info.ModTime()})
-		}
-	}
-	for i := 1; i < len(found); i++ {
-		for j := i; j > 0 && found[j].mtime.Before(found[j-1].mtime); j-- {
-			found[j], found[j-1] = found[j-1], found[j]
-		}
-	}
-	for _, e := range found {
-		s.clock++
-		s.disk[e.key] = diskEntry{size: e.size, atime: s.clock}
-		s.total += e.size
-	}
-	return nil
+	}, nil
 }
 
 // EntryPath returns where the slab for key lives (or would live) on disk.
-func (s *Store) EntryPath(key Key) string {
-	hexKey := key.String()
-	return filepath.Join(s.dir, hexKey[:2], hexKey+".slab")
-}
+func (s *Store) EntryPath(key Key) string { return s.shards.Path(key) }
 
 // Dir returns the versioned store root.
-func (s *Store) Dir() string { return s.dir }
+func (s *Store) Dir() string { return s.shards.Dir() }
 
 // Stats returns a snapshot of the activity counters.
 func (s *Store) Stats() Stats {
@@ -225,11 +149,7 @@ func (s *Store) Stats() Stats {
 }
 
 // DiskBytes returns the indexed on-disk footprint.
-func (s *Store) DiskBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.total
-}
+func (s *Store) DiskBytes() int64 { return s.shards.Bytes() }
 
 func (s *Store) getScratch() []champtrace.Instruction {
 	if p, ok := s.scratch.Get().(*[]champtrace.Instruction); ok {
@@ -418,20 +338,15 @@ func (s *Store) loadDisk(key Key, ref bool) *Slab {
 	f.Close()
 	if sl == nil {
 		if verdict == headerCorrupt {
-			os.Remove(path)
+			_ = s.shards.Drop(key) // best-effort: a survivor fails validation again
 			s.warn("tracestore: discarding corrupt slab %s", path)
 			s.mu.Lock()
 			s.stats.Corrupt++
-			if e, ok := s.disk[key]; ok {
-				s.total -= e.size
-				delete(s.disk, key)
-			}
 			s.mu.Unlock()
 		}
 		return nil
 	}
-	now := time.Now()
-	os.Chtimes(path, now, now) // refresh cross-process LRU age; best-effort
+	s.shards.Hit(key, size)
 	s.mu.Lock()
 	if prior, ok := s.open[key]; ok {
 		// Lost a race with another loader (Prefetch vs GetOrConvert): keep
@@ -448,15 +363,6 @@ func (s *Store) loadDisk(key Key, ref bool) *Slab {
 	s.stats.Hits++
 	s.stats.DiskHits++
 	s.stats.BytesMapped += uint64(size)
-	s.clock++
-	if e, ok := s.disk[key]; ok {
-		e.atime = s.clock
-		s.disk[key] = e
-	} else {
-		// Written by another process after our scan.
-		s.disk[key] = diskEntry{size: size, atime: s.clock}
-		s.total += size
-	}
 	s.install(sl)
 	if ref {
 		s.ref(sl)
@@ -534,72 +440,44 @@ func (s *Store) persist(key Key, recs []champtrace.Instruction, conv core.Stats)
 		return s.persistFailed(heapSlab, err)
 	}
 	h := header{count: len(recs), metaLen: len(meta), key: key}
-	path := s.EntryPath(key)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return s.persistFailed(heapSlab, err)
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), "tmp-*")
-	if err != nil {
-		return s.persistFailed(heapSlab, err)
-	}
-	w, _ := s.bufw.Get().(*bufio.Writer)
-	if w == nil {
-		w = bufio.NewWriterSize(io.Discard, 1<<20)
-	}
-	w.Reset(tmp)
 	body := recordBytes(recs)
-	var crc uint32
-	writeErr := func() error {
+	size, evicted, err := s.shards.Publish(key, func(f io.Writer) error {
+		w, _ := s.bufw.Get().(*bufio.Writer)
+		if w == nil {
+			w = bufio.NewWriterSize(io.Discard, 1<<20)
+		}
+		w.Reset(f)
+		defer func() {
+			w.Reset(io.Discard) // drop the file reference before pooling
+			s.bufw.Put(w)
+		}()
 		if _, err := w.Write(encodeHeader(h)); err != nil {
 			return err
 		}
 		if _, err := w.Write(body); err != nil {
 			return err
 		}
-		crc = frame.Update(0, body)
 		if _, err := w.Write(meta); err != nil {
 			return err
 		}
-		crc = frame.Update(crc, meta)
+		crc := frame.Update(frame.Update(0, body), meta)
 		if _, err := w.Write(encodeFooter(crc)); err != nil {
 			return err
 		}
 		return w.Flush()
-	}()
-	w.Reset(io.Discard) // drop the file reference before pooling
-	s.bufw.Put(w)
-	if writeErr == nil {
-		writeErr = tmp.Close()
-	} else {
-		tmp.Close()
+	})
+	if err != nil {
+		return s.persistFailed(heapSlab, err)
 	}
-	if writeErr == nil {
-		writeErr = os.Rename(tmp.Name(), path)
-	}
-	if writeErr != nil {
-		os.Remove(tmp.Name())
-		return s.persistFailed(heapSlab, writeErr)
-	}
-
-	size := h.fileSize()
 	s.mu.Lock()
 	s.stats.BytesWritten += uint64(size)
-	if e, ok := s.disk[key]; ok {
-		s.total -= e.size
-	}
-	s.clock++
-	s.disk[key] = diskEntry{size: size, atime: s.clock}
-	s.total += size
-	evict := s.collectEvictions(key)
+	s.stats.Evictions += uint64(evicted)
 	s.mu.Unlock()
-	for _, k := range evict {
-		os.Remove(s.EntryPath(k))
-	}
 
 	// Serve the file mapping, not the heap copy, so the scratch returns to
 	// the pool and every consumer of this slab — including other processes
 	// — shares one set of page-cache pages.
-	f, err := os.Open(path)
+	f, err := os.Open(s.EntryPath(key))
 	if err != nil {
 		return heapSlab() // evicted already?; serve from heap, no warning needed
 	}
@@ -628,35 +506,6 @@ func (s *Store) persistFailed(heapSlab func() *Slab, err error) *Slab {
 	s.stats.WriteErrors++
 	s.mu.Unlock()
 	return heapSlab()
-}
-
-// collectEvictions (mu held) trims the disk index to the size bound,
-// oldest first, sparing the just-written key, and returns the keys whose
-// files the caller must remove. Removing a file whose mapping is still
-// live is safe on unix: the pages outlive the directory entry.
-func (s *Store) collectEvictions(justWritten Key) []Key {
-	var out []Key
-	for s.total > s.maxBytes {
-		var victim Key
-		var victimAge int64
-		found := false
-		for k, e := range s.disk {
-			if k == justWritten {
-				continue
-			}
-			if !found || e.atime < victimAge {
-				victim, victimAge, found = k, e.atime, true
-			}
-		}
-		if !found {
-			break
-		}
-		s.total -= s.disk[victim].size
-		delete(s.disk, victim)
-		s.stats.Evictions++
-		out = append(out, victim)
-	}
-	return out
 }
 
 // Close drops every resident slab. Slabs still referenced stay mapped
