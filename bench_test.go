@@ -485,13 +485,22 @@ func BenchmarkPipeline(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
+	var st sim.Stats
 	for i := 0; i < b.N; i++ {
 		src.Reset()
-		if _, err := pipe.Run(src, 0, 0); err != nil {
+		if st, err = pipe.Run(src, 0, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.SetBytes(int64(len(recs)))
+	reportKIPS(b, st)
+}
+
+// reportKIPS reports simulated speed in thousands of retired instructions
+// per host second, ChampSim's speed metric, for b.N runs that each
+// retired st.Instructions.
+func reportKIPS(b *testing.B, st sim.Stats) {
+	b.ReportMetric(float64(st.Instructions)*float64(b.N)/b.Elapsed().Seconds()/1e3, "kips")
 }
 
 // BenchmarkPipelineIdleHeavy is BenchmarkPipeline on the stress profile the
@@ -531,6 +540,7 @@ func BenchmarkPipelineIdleHeavy(b *testing.B) {
 		}
 	}
 	b.SetBytes(int64(len(recs)))
+	reportKIPS(b, st)
 	b.ReportMetric(float64(st.SkippedCycles)/float64(st.Cycles), "skipfrac")
 }
 

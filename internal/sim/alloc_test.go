@@ -36,8 +36,8 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Warmup run: grows the MSHR lists, prefetch buffers, and the
-		// pending queue to their high-water marks.
+		// Warmup run: grows the MSHR lists and prefetch buffers to their
+		// high-water marks.
 		if _, err := pipe.Run(src, 0, 0); err != nil {
 			t.Fatal(err)
 		}

@@ -67,58 +67,93 @@ func TestArenaFillToCapacity(t *testing.T) {
 	}
 }
 
-// TestStaleGenerationReady exercises the generation-tag staleness rule
-// directly: a dependency ref whose sequence tag no longer matches the slot's
-// occupant refers to a retired-and-recycled producer and must read as ready,
-// while a matching, incomplete occupant must not.
-func TestStaleGenerationReady(t *testing.T) {
-	p, err := New(testConfig())
-	if err != nil {
-		t.Fatal(err)
+// TestRenameResolvesProducers exercises the generation-tag staleness rule
+// at rename, where dispatch resolves each source once. A missing producer
+// and a retired one whose slot was recycled add no wait; a live producer
+// that has not executed gets an edge back to the consumer; an executed one
+// bounds the consumer's ready cycle.
+func TestRenameResolvesProducers(t *testing.T) {
+	const reg, prodRef, consSeq, now = 60, uref(5), 100, 10
+	// rename dispatches a consumer of reg at cycle now, with producer (if
+	// any) placed in slot 5 as reg's last writer, and returns the pipeline,
+	// the producer's slot and the consumer.
+	rename := func(t *testing.T, producer *uop) (*Pipeline, *uop, *uop) {
+		t.Helper()
+		p, err := New(testConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.cycle = now
+		if producer != nil {
+			p.arena[prodRef] = *producer
+			p.regProducer[reg] = prodRef
+		}
+		c := p.at(consSeq)
+		*c = uop{seq: consSeq}
+		c.srcRegs[0] = reg
+		p.decq[0] = consSeq
+		p.decqLen = 1
+		p.dispatch()
+		if p.decqLen != 0 || p.robCount != 1 {
+			t.Fatal("consumer not dispatched")
+		}
+		return p, &p.arena[prodRef], c
 	}
-	cap := uint64(arenaCapOf(p))
+	grounded := func(p *Pipeline) bool {
+		slot := uref(consSeq) & p.arenaMask
+		return p.grounded[slot>>6]&(1<<(slot&63)) != 0
+	}
+	readyAt := func(p *Pipeline) uint64 { return p.readyAt[uref(consSeq)&p.arenaMask] }
 
-	ref := uref(5)
-	consumer := &uop{seq: 100}
-	consumer.deps[0] = ref
-
-	// Slot 5 recycled: it now holds the uop with seq 5+cap. The ref's tag
-	// mismatches, so the original producer retired — ready.
-	p.arena[5] = uop{seq: 5 + cap}
-	if ready, _ := p.depsReady(consumer); !ready {
-		t.Fatal("stale-generation dependency not treated as ready")
-	}
-	if consumer.deps[0] != noref {
-		t.Fatal("stale dependency ref not cleared after resolving")
-	}
-
-	// Same slot, matching generation, still executing: not ready, and with
-	// no wake-up horizon — the producer's completion cycle is unknown.
-	consumer.deps[0] = ref
-	p.arena[5] = uop{seq: 5, completed: false}
-	if ready, wakeAt := p.depsReady(consumer); ready || wakeAt != 0 {
-		t.Fatalf("live incomplete dependency: ready=%v wakeAt=%d, want not ready with no horizon", ready, wakeAt)
-	}
-
-	// Matching generation, completed but in the future: not ready, and the
-	// horizon is the producer's completion cycle.
-	p.arena[5].completed = true
-	p.arena[5].complete = 42
-	if ready, wakeAt := p.depsReady(consumer); ready || wakeAt != 42 {
-		t.Fatalf("executing dependency: ready=%v wakeAt=%d, want not ready with horizon 42", ready, wakeAt)
-	}
-	if consumer.deps[0] == noref {
-		t.Fatal("still-executing dependency ref must stay linked")
-	}
-
-	// Matching generation, completed in the past: ready, and resolved.
-	p.arena[5].complete = 0
-	if ready, _ := p.depsReady(consumer); !ready {
-		t.Fatal("completed dependency not treated as ready")
-	}
-	if consumer.deps[0] != noref {
-		t.Fatal("completed dependency ref not cleared after resolving")
-	}
+	t.Run("no producer", func(t *testing.T) {
+		p, _, c := rename(t, nil)
+		if c.nWait != 0 || !grounded(p) {
+			t.Fatalf("nWait=%d grounded=%v, want no wait", c.nWait, grounded(p))
+		}
+	})
+	t.Run("recycled slot", func(t *testing.T) {
+		// A later generation in the same slot: 1<<20 is a multiple of
+		// every power-of-two arena capacity up to it.
+		p, d, c := rename(t, &uop{seq: uint64(prodRef) + 1<<20})
+		if c.nWait != 0 || !grounded(p) || d.depHead != 0 {
+			t.Fatalf("nWait=%d grounded=%v depHead=%#x, want a stale producer read as ready",
+				c.nWait, grounded(p), d.depHead)
+		}
+	})
+	t.Run("unexecuted producer", func(t *testing.T) {
+		p, d, c := rename(t, &uop{seq: uint64(prodRef)})
+		if c.nWait != 1 || grounded(p) || d.depHead != consSeq<<2 || c.depNext[0] != 0 {
+			t.Fatalf("nWait=%d grounded=%v depHead=%#x, want one edge to the consumer",
+				c.nWait, grounded(p), d.depHead)
+		}
+		// Executing the producer wakes the consumer at its completion.
+		p.execute(d)
+		if c.nWait != 0 || !grounded(p) || readyAt(p) != d.complete {
+			t.Fatalf("after execute: nWait=%d grounded=%v readyAt=%d, want ready at %d",
+				c.nWait, grounded(p), readyAt(p), d.complete)
+		}
+	})
+	t.Run("future completion", func(t *testing.T) {
+		p, _, c := rename(t, &uop{seq: uint64(prodRef), completed: true, complete: 42})
+		if c.nWait != 0 || !grounded(p) || readyAt(p) != 42 {
+			t.Fatalf("nWait=%d grounded=%v readyAt=%d, want ready at 42",
+				c.nWait, grounded(p), readyAt(p))
+		}
+		p.cycle++
+		p.nextWake = ^uint64(0)
+		p.issue()
+		if c.completed || p.nextWake != 42 {
+			t.Fatalf("issued=%v wake=%d, want no issue and a wake-up at 42", c.completed, p.nextWake)
+		}
+	})
+	t.Run("past completion", func(t *testing.T) {
+		p, _, c := rename(t, &uop{seq: uint64(prodRef), completed: true, complete: now - 3})
+		p.cycle++
+		p.issue()
+		if !c.completed {
+			t.Fatal("consumer of a completed producer did not issue the next cycle")
+		}
+	})
 }
 
 // TestAncientProducerAfterWrap runs a trace where one early instruction

@@ -356,7 +356,8 @@ func newPipeline(cfg Config, hier *mem.Hierarchy, coreID int) (*Pipeline, error)
 		ftqMask:   uint32(ftqCap - 1),
 		decq:      make([]uref, decqCap),
 		decqMask:  uint32(decqCap - 1),
-		pending:   make([]uref, 0, cfg.ROBSize),
+		readyAt:   make([]uint64, arenaCap),
+		grounded:  make([]uint64, (arenaCap+63)/64),
 		sq:        make([]sqEntry, sqCap),
 		sqMask:    uint32(sqCap - 1),
 	}

@@ -17,30 +17,7 @@ func TestQuickSkipTransparency(t *testing.T) {
 	var totalSkipped uint64
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		stream := randomStream(r, 500+r.Intn(1500))
-		cfg := testConfig()
-		cfg.FetchWidth = 1 + r.Intn(6)
-		cfg.DispatchWidth = 1 + r.Intn(6)
-		cfg.IssueWidth = 1 + r.Intn(6)
-		cfg.RetireWidth = 1 + r.Intn(6)
-		cfg.ROBSize = 16 << r.Intn(4)
-		cfg.FTQSize = 4 << r.Intn(4)
-		cfg.DecodeQueue = 4 << r.Intn(4)
-		cfg.SQSize = 8 << r.Intn(3)
-		cfg.DecodeLatency = uint64(1 + r.Intn(6))
-		cfg.RedirectPenalty = uint64(r.Intn(10))
-		cfg.Decoupled = r.Intn(2) == 0
-		cfg.UseTLBs = r.Intn(2) == 0
-		if r.Intn(2) == 0 {
-			cfg.L1DPrefetcher = "ip-stride"
-		}
-		if r.Intn(2) == 0 {
-			cfg.L2Prefetcher = "next-line"
-		}
-		if r.Intn(2) == 0 {
-			cfg.L1IPrefetcher = "next-line"
-		}
-		warmup := uint64(r.Intn(300))
+		stream, cfg, warmup := randomGeometry(r)
 		run := func(noSkip bool) (Stats, error) {
 			c := cfg
 			c.NoCycleSkip = noSkip
@@ -78,6 +55,36 @@ func TestQuickSkipTransparency(t *testing.T) {
 	if totalSkipped == 0 {
 		t.Fatal("no randomized run ever skipped a cycle; transparency was tested vacuously")
 	}
+}
+
+// randomGeometry draws a coherent random stream, a small random machine
+// shape — widths, window and queue sizes, latencies, front-end coupling,
+// prefetchers, TLBs — and a warm-up length.
+func randomGeometry(r *rand.Rand) ([]*champtrace.Instruction, Config, uint64) {
+	stream := randomStream(r, 500+r.Intn(1500))
+	cfg := testConfig()
+	cfg.FetchWidth = 1 + r.Intn(6)
+	cfg.DispatchWidth = 1 + r.Intn(6)
+	cfg.IssueWidth = 1 + r.Intn(6)
+	cfg.RetireWidth = 1 + r.Intn(6)
+	cfg.ROBSize = 16 << r.Intn(4)
+	cfg.FTQSize = 4 << r.Intn(4)
+	cfg.DecodeQueue = 4 << r.Intn(4)
+	cfg.SQSize = 8 << r.Intn(3)
+	cfg.DecodeLatency = uint64(1 + r.Intn(6))
+	cfg.RedirectPenalty = uint64(r.Intn(10))
+	cfg.Decoupled = r.Intn(2) == 0
+	cfg.UseTLBs = r.Intn(2) == 0
+	if r.Intn(2) == 0 {
+		cfg.L1DPrefetcher = "ip-stride"
+	}
+	if r.Intn(2) == 0 {
+		cfg.L2Prefetcher = "next-line"
+	}
+	if r.Intn(2) == 0 {
+		cfg.L1IPrefetcher = "next-line"
+	}
+	return stream, cfg, uint64(r.Intn(300))
 }
 
 // TestArenaWraparoundUnderLargeSkips drives a serialized pointer chase over

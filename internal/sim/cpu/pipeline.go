@@ -3,6 +3,7 @@ package cpu
 import (
 	"fmt"
 	"io"
+	"math/bits"
 
 	"tracerebase/internal/champtrace"
 	"tracerebase/internal/sim/btb"
@@ -35,10 +36,14 @@ type uop struct {
 
 	srcRegs [champtrace.NumSrcRegs]uint8
 	dstRegs [champtrace.NumDestRegs]uint8
-	// deps holds refs to the producers of each source register. A ref is
-	// resolved (set to norefs) as soon as it is observed ready, so the
-	// scheduler never rechecks a completed producer.
-	deps [champtrace.NumSrcRegs]uref
+	// nWait counts the source producers that had not executed at rename
+	// and still have not. depHead heads this uop's list of dependents:
+	// each edge is a consumer's seq<<2 | source index, and the link to the
+	// next edge lives in the consumer's depNext at that source index, so
+	// the lists need no storage of their own. 0 ends a list.
+	nWait   uint8
+	depHead uint64
+	depNext [champtrace.NumSrcRegs]uint64
 
 	fetchLine   uint64
 	decodeReady uint64
@@ -55,10 +60,11 @@ type uop struct {
 // referenced uop, so the bits above the slot index act as a generation tag.
 // A ref whose value no longer matches the slot's uint32(seq) is stale — the
 // producer retired and its slot was recycled — and stale producers are by
-// construction complete, so stale refs read as "ready" without any clearing.
-// noref (0) means "no dependency"; real seqs start at 1. (Generation
-// aliasing would need 2^32 uops between link and check — far beyond any
-// simulated interval.)
+// construction complete. Rename checks a source's producer ref once, when
+// it links the consumer, and a stale ref reads as "ready" there without
+// any clearing. noref (0) means "no producer"; real seqs start at 1.
+// (Generation aliasing would need 2^32 uops between a register's last
+// write and its next read — far beyond any simulated interval.)
 type uref = uint32
 
 // noref is the nil uref.
@@ -116,13 +122,17 @@ type Pipeline struct {
 	// oldest robCount live uops of the arena, in sequence order, with the
 	// head at sequence p.retired+1.
 	robCount int
-	// pending holds dispatched-but-not-issued uops in age order, so the
-	// scheduler scans only waiting instructions instead of the whole ROB.
-	pending []uref
-	sq      []sqEntry // ring, capacity ≥ SQSize (power of two)
-	sqMask  uint32
-	sqHead  uint32
-	sqLen   int
+	// The scheduler state is indexed by arena slot. readyAt holds the
+	// cycle a dispatched uop's executed producers complete by. grounded
+	// has a bit per slot whose uop is dispatched and unissued with every
+	// producer executed: issue scans only these, so a uop waiting on an
+	// unexecuted producer costs nothing until execute wakes it.
+	readyAt  []uint64
+	grounded []uint64
+	sq       []sqEntry // ring, capacity ≥ SQSize (power of two)
+	sqMask   uint32
+	sqHead   uint32
+	sqLen    int
 	// regProducer tracks the most recent writer of each register id.
 	// Entries go stale when the producer retires; staleness is detected
 	// by the uref generation check, never by clearing.
@@ -260,13 +270,21 @@ func (p *Pipeline) Run(src champtrace.Source, warmup, maxInstructions uint64) (S
 		return Stats{}, fmt.Errorf("cpu: configuration %q has Cores=%d; single-core Run cannot simulate it, use NewMulti/MultiPipeline.Run", p.cfg.Name, p.cfg.Cores)
 	}
 	if p.cfg.SamplePeriod > 0 {
-		// Interval sampling (sample.go). The exact path below is not
-		// shared with it and remains byte-identical to prior releases.
+		// Interval sampling (sample.go).
 		return p.runSampled(src, warmup, maxInstructions)
 	}
 	if err := p.la.init(src); err != nil {
 		return Stats{}, err
 	}
+	return p.runExactBody(warmup, maxInstructions)
+}
+
+// runExactBody is the exact cycle loop, shared by Run and by checkpoint
+// resumes (RunFrom, whose restored prefix was the warm-up, passes 0).
+// Measurement opens once warmup instructions have retired; the run ends at
+// maxInstructions total retired (0 = no limit) or when the trace is
+// exhausted and the pipeline drains.
+func (p *Pipeline) runExactBody(warmup, maxInstructions uint64) (Stats, error) {
 	p.measuring = warmup == 0
 	if p.measuring {
 		p.beginMeasurement()
@@ -404,62 +422,43 @@ func (p *Pipeline) retire() {
 
 // ---- Issue / execute ----
 
+// issue executes up to IssueWidth grounded uops whose producers have
+// completed by p.cycle, oldest first: it walks the grounded bitmap in slot
+// order from the ROB head, wrapping once, and re-reads each word after an
+// execute, since a producer that completes in its own issue cycle grounds
+// younger consumers this same pass. A grounded uop that is not yet ready
+// registers its ready cycle as a wake-up; the ROB head, whose producers
+// have all retired, is always grounded when unissued.
 func (p *Pipeline) issue() {
 	issued := 0
-	keep := p.pending[:0]
-	for i, r := range p.pending {
-		if issued >= p.cfg.IssueWidth {
-			keep = append(keep, p.pending[i:]...)
-			break
+	head := uint32(p.retired+1) & p.arenaMask
+	first, lo := int(head>>6), head&63
+	n := len(p.grounded)
+	for i := 0; i <= n; i++ {
+		w := (first + i) & (n - 1) // n is a power of two
+		mask := ^uint64(0)
+		switch i {
+		case 0:
+			mask <<= lo
+		case n:
+			mask = 1<<lo - 1
 		}
-		u := p.at(r)
-		ready, wakeAt := p.depsReady(u)
-		if !ready {
-			if wakeAt > p.cycle {
-				p.wake(wakeAt)
-			}
-			keep = append(keep, r)
-			continue
-		}
-		issued++
-		p.progressed = true
-		p.execute(u)
-	}
-	p.pending = keep
-}
-
-// depsReady reports whether all of u's source producers are complete as of
-// p.cycle. When they are not but every blocking producer has at least
-// executed, the second result is the cycle the last of them completes — the
-// uop's wake-up horizon. It is 0 when some producer has not executed yet:
-// such a uop has no horizon of its own, but the oldest pending uop always
-// does (its producers are strictly older, hence already issued), so a
-// zero-progress scheduler pass always registers at least one wake-up.
-func (p *Pipeline) depsReady(u *uop) (bool, uint64) {
-	ready, wakeAt := true, uint64(0)
-	for i := range u.deps {
-		r := u.deps[i]
-		if r == noref {
-			continue
-		}
-		d := p.at(r)
-		if uint32(d.seq) == r {
-			if !d.completed {
-				return false, 0
-			}
-			if d.complete > p.cycle {
-				ready = false
-				if d.complete > wakeAt {
-					wakeAt = d.complete
-				}
+		for m := p.grounded[w] & mask; m != 0; m = p.grounded[w] & mask {
+			b := uint(bits.TrailingZeros64(m))
+			mask &^= 2<<b - 1
+			slot := uint32(w)<<6 | uint32(b)
+			if at := p.readyAt[slot]; at > p.cycle {
+				p.wake(at)
 				continue
 			}
+			p.grounded[w] &^= 1 << b
+			p.progressed = true
+			p.execute(&p.arena[slot])
+			if issued++; issued == p.cfg.IssueWidth {
+				return
+			}
 		}
-		// Stale ref (producer retired, slot recycled) or completed
-		// producer: resolved for good, never recheck.
-		u.deps[i] = noref
 	}
-	return ready, wakeAt
 }
 
 func (p *Pipeline) execute(u *uop) {
@@ -492,6 +491,17 @@ func (p *Pipeline) execute(u *uop) {
 		u.complete = p.cycle + 1
 	}
 	u.completed = true
+	// Wake the dependents: each is ready no earlier than this completion,
+	// and grounded once its last waiting producer has executed.
+	for e := u.depHead; e != 0; {
+		slot := uint32(e>>2) & p.arenaMask
+		c := &p.arena[slot]
+		p.readyAt[slot] = max64(p.readyAt[slot], u.complete)
+		if c.nWait--; c.nWait == 0 {
+			p.grounded[slot>>6] |= 1 << (slot & 63)
+		}
+		e = c.depNext[e&3]
+	}
 }
 
 func (p *Pipeline) pushStore(addr, ready, seq uint64) {
@@ -529,12 +539,32 @@ func (p *Pipeline) dispatch() {
 		p.progressed = true
 		p.decqHead = (p.decqHead + 1) & p.decqMask
 		p.decqLen--
-		// Register rename: link sources to their producers and claim
-		// destinations.
+		// Register rename: resolve each source once. A missing or
+		// retired producer is ready; an executed one bounds the ready
+		// cycle; an unexecuted one gets an edge to wake this uop when
+		// it executes. Then claim the destinations.
+		slot := r & p.arenaMask
+		ready := uint64(0)
 		for i, reg := range u.srcRegs {
-			if reg != champtrace.RegInvalid {
-				u.deps[i] = p.regProducer[reg]
+			if reg == champtrace.RegInvalid {
+				continue
 			}
+			pr := p.regProducer[reg]
+			d := p.at(pr)
+			if pr == noref || uint32(d.seq) != pr {
+				continue
+			}
+			if d.completed {
+				ready = max64(ready, d.complete)
+				continue
+			}
+			u.nWait++
+			u.depNext[i] = d.depHead
+			d.depHead = u.seq<<2 | uint64(i)
+		}
+		p.readyAt[slot] = ready
+		if u.nWait == 0 {
+			p.grounded[slot>>6] |= 1 << (slot & 63)
 		}
 		for _, reg := range u.dstRegs {
 			if reg != champtrace.RegInvalid {
@@ -542,7 +572,6 @@ func (p *Pipeline) dispatch() {
 			}
 		}
 		p.robCount++
-		p.pending = append(p.pending, r)
 		n++
 	}
 }

@@ -158,7 +158,7 @@ func (p *Pipeline) sampleLoop(limit uint64) (Stats, error) {
 	return p.st, nil
 }
 
-// runDetailedInterval runs the unmodified detailed cycle loop until target
+// runDetailedInterval runs detailed cycles, as runExactBody does, until target
 // instructions have retired, opening the measurement window once rampAt
 // retire (pipeline refilled after the gap). It returns the window's stats;
 // the pipeline is left mid-flight for flushInflight to drain functionally —
@@ -168,17 +168,9 @@ func (p *Pipeline) runDetailedInterval(target, rampAt uint64) (Stats, error) {
 	skip := !p.cfg.NoCycleSkip
 	open := false
 	for {
-		p.nextWake = ^uint64(0)
-		p.progressed = false
-		p.retire()
-		p.issue()
-		p.dispatch()
-		p.fetch()
-		p.bpuFill()
+		p.pass()
 		if skip && !p.progressed && p.nextWake != ^uint64(0) && p.nextWake > p.cycle+1 {
-			p.st.SkippedCycles += p.nextWake - p.cycle - 1
-			p.st.CycleSkips++
-			p.cycle = p.nextWake
+			p.jumpTo(p.nextWake)
 		} else {
 			p.cycle++
 		}
@@ -186,10 +178,7 @@ func (p *Pipeline) runDetailedInterval(target, rampAt uint64) (Stats, error) {
 			open = true
 			p.beginMeasurement()
 		}
-		if p.retired >= target {
-			break
-		}
-		if p.la.done && p.robCount == 0 && p.ftqLen == 0 && p.decqLen == 0 {
+		if p.retired >= target || p.drained() {
 			break
 		}
 	}
@@ -197,10 +186,7 @@ func (p *Pipeline) runDetailedInterval(target, rampAt uint64) (Stats, error) {
 		// Trace ended before the ramp: empty window, discarded by caller.
 		p.beginMeasurement()
 	}
-	p.st.Instructions = p.retired - p.warmupRetired
-	p.st.Cycles = p.cycle - p.warmupCycles
-	p.collectCacheStats()
-	return p.st, nil
+	return p.finalize(), nil
 }
 
 // flushInflight functionally retires every in-flight uop at the end of a
@@ -233,7 +219,7 @@ func (p *Pipeline) flushInflight() {
 	p.robCount = 0
 	p.ftqLen = 0
 	p.decqLen = 0
-	p.pending = p.pending[:0]
+	clear(p.grounded)
 	p.sqHead = 0
 	p.sqLen = 0
 	p.stalled = false
@@ -603,31 +589,5 @@ func (p *Pipeline) RunFrom(src champtrace.Source, ckpt Checkpoint, maxInstructio
 	if p.cfg.SamplePeriod > 0 {
 		return p.sampleLoop(maxInstructions)
 	}
-	return p.runExactBody(maxInstructions)
-}
-
-// runExactBody is Run's post-warm-up detailed loop for checkpoint resumes
-// of exact configurations: measurement starts immediately (the restored
-// prefix was the warm-up) and the run ends at maxInstructions total retired
-// or trace exhaustion. It mirrors Run's loop body; Run itself is untouched
-// so the default path stays byte-identical.
-func (p *Pipeline) runExactBody(maxInstructions uint64) (Stats, error) {
-	p.measuring = true
-	p.beginMeasurement()
-	skip := !p.cfg.NoCycleSkip
-	for {
-		p.pass()
-		if skip && !p.progressed && p.nextWake != ^uint64(0) && p.nextWake > p.cycle+1 {
-			p.jumpTo(p.nextWake)
-		} else {
-			p.cycle++
-		}
-		if maxInstructions > 0 && p.retired >= maxInstructions {
-			break
-		}
-		if p.drained() {
-			break
-		}
-	}
-	return p.finalize(), nil
+	return p.runExactBody(0, maxInstructions)
 }

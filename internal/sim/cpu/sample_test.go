@@ -222,7 +222,7 @@ func TestCheckpointResumeExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := live.runExactBody(limit)
+	want, err := live.runExactBody(0, limit)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,14 +105,17 @@ awk '
 		return sprintf("%+.1f%%", 100 * (n - o) / o)
 	}
 	NR == FNR {
-		ns[$1] = metric("ns/op"); b[$1] = metric("B/op"); a[$1] = metric("allocs/op")
+		ns[$1] = metric("ns/op"); b[$1] = metric("B/op"); a[$1] = metric("allocs/op"); k[$1] = metric("kips")
 		next
 	}
 	{
 		if (!($1 in ns)) { printf "%-40s (new benchmark)\n", $1; next }
-		printf "%-40s ns/op %12d -> %12d (%s)   B/op %9d -> %9d (%s)   allocs/op %7d -> %7d (%s)\n",
+		printf "%-40s ns/op %12d -> %12d (%s)   B/op %9d -> %9d (%s)   allocs/op %7d -> %7d (%s)",
 			$1, ns[$1], metric("ns/op"), pct(ns[$1], metric("ns/op")),
 			b[$1], metric("B/op"), pct(b[$1], metric("B/op")),
 			a[$1], metric("allocs/op"), pct(a[$1], metric("allocs/op"))
+		# Simulated speed, for the benchmarks that report it.
+		if (metric("kips") != 0) printf "   kips %7d -> %7d (%s)", k[$1], metric("kips"), pct(k[$1], metric("kips"))
+		printf "\n"
 	}
 ' "$old_out" "$new_out"
