@@ -30,10 +30,12 @@ fuzz-smoke:
 	$(GO) test ./internal/conformance -run '^$$' -fuzz '^FuzzChampTraceDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/conformance -run '^$$' -fuzz '^FuzzConvert$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/conformance -run '^$$' -fuzz '^FuzzExpBlockDecode$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/expstore -run '^$$' -fuzz '^FuzzParseQuery$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime $(FUZZTIME)
 
 # A fast allocation check of the hot convert+simulate path: the streaming
-# source must stay well below the materializing baseline, and a resident
-# slab hit (BenchmarkSlabLoad) must run at 0 B/op.
+# source must stay well below the materializing baseline, and a hit on a
+# slab another holder keeps mapped (BenchmarkSlabLoad) must run at 0 B/op.
 bench-smoke:
 	$(GO) test -run xxx -bench 'ConvertSimulate|SweepStreaming|BenchmarkMultiCorePipeline$$|BenchmarkSlab' -benchtime 3x .
 

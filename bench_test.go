@@ -396,36 +396,24 @@ func BenchmarkSlabConvert(b *testing.B) {
 	b.SetBytes(20000)
 }
 
-// BenchmarkSlabLoad measures the warm path a sweep variant sees: taking a
-// reference on a resident slab, walking its zero-copy record view, and
-// releasing it. The contract is 0 B/op — a slab hit must allocate nothing.
+// BenchmarkSlabLoad measures the path every cell after a class's first
+// sees: taking a reference on a slab another holder keeps mapped, walking
+// its zero-copy record view, and releasing it. The contract is 0 B/op — a
+// shared-mapping hit must allocate nothing.
 func BenchmarkSlabLoad(b *testing.B) {
-	p := synth.PublicProfile(synth.ComputeInt, 7)
-	instrs, err := p.GenerateBatch(20000)
-	if err != nil {
-		b.Fatal(err)
+	store, key, recCount := benchSlabStore(b)
+	held, ok := store.Get(key)
+	if !ok {
+		b.Fatal("persisted slab missed")
 	}
-	store, err := tracestore.Open(tracestore.Config{Dir: b.TempDir()})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer store.Close()
-	key := benchSlabKey(0)
-	warm, err := store.GetOrConvert(key, func(scratch []champtrace.Instruction) ([]champtrace.Instruction, core.Stats, error) {
-		return core.ConvertAllInto(scratch, cvp.NewValuesSource(instrs), core.OptionsAll())
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	recCount := len(warm.Records())
-	warm.Release()
+	defer held.Release()
 	b.ReportAllocs()
 	b.ResetTimer()
 	var ips uint64
 	for i := 0; i < b.N; i++ {
 		sl, ok := store.Get(key)
 		if !ok {
-			b.Fatal("resident slab missed")
+			b.Fatal("held slab missed")
 		}
 		recs := sl.Records()
 		for j := range recs {
@@ -437,6 +425,56 @@ func BenchmarkSlabLoad(b *testing.B) {
 	if ips == 0 {
 		b.Fatal("empty records")
 	}
+	if s := store.Stats(); s.MemHits != uint64(b.N) {
+		b.Fatalf("%d mem hits over %d lookups: the held mapping was not shared", s.MemHits, b.N)
+	}
+}
+
+// BenchmarkSlabMap measures the path each class's first cell pays now
+// that no unreferenced slab stays mapped: mapping the slab file,
+// validating its checksum, and unmapping it at the Release.
+func BenchmarkSlabMap(b *testing.B) {
+	store, key, recCount := benchSlabStore(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sl, ok := store.Get(key)
+		if !ok {
+			b.Fatal("persisted slab missed")
+		}
+		sl.Release()
+	}
+	b.SetBytes(int64(recCount * champtrace.RecordSize))
+	if s := store.Stats(); s.DiskHits != uint64(b.N) {
+		b.Fatalf("%d disk hits over %d lookups: a released slab stayed mapped", s.DiskHits, b.N)
+	}
+}
+
+// benchSlabStore persists one 20000-instruction slab into a fresh store and
+// returns the store, the slab's key and its record count, with no
+// reference held.
+func benchSlabStore(b *testing.B) (*tracestore.Store, tracestore.Key, int) {
+	b.Helper()
+	p := synth.PublicProfile(synth.ComputeInt, 7)
+	instrs, err := p.GenerateBatch(20000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	store, err := tracestore.Open(tracestore.Config{Dir: b.TempDir()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(store.Close)
+	key := benchSlabKey(0)
+	sl, err := store.GetOrConvert(key, func(scratch []champtrace.Instruction) ([]champtrace.Instruction, core.Stats, error) {
+		return core.ConvertAllInto(scratch, cvp.NewValuesSource(instrs), core.OptionsAll())
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := sl.Len()
+	sl.Release()
+	return store, key, n
 }
 
 // BenchmarkTAGESCLPredict measures direction-predictor throughput.

@@ -74,7 +74,7 @@ func TestCacheCrossProcess(t *testing.T) {
 	}
 	// Every cell resolves before any input work, so a fully cached run
 	// never reaches the compiled-trace store.
-	noSlabs := regexp.MustCompile(`slabs: 0 hits \(0 mem, 0 disk\), 0 misses, 0 converted, 0 prefetched, 0 corrupt, 0\.0 MB mapped`)
+	noSlabs := regexp.MustCompile(`slabs: 0 hits \(0 mem, 0 disk\), 0 misses, 0 converted, 0\.0 MB peak mapped, 0 corrupt, 0\.0 MB mapped`)
 	if !noSlabs.Match(warmErr) {
 		t.Fatalf("warm run touched the slab store:\n%s", warmErr)
 	}

@@ -147,7 +147,7 @@ func TestCLIFrontEnd(t *testing.T) {
 				"go_version", "no_skip", "wall_seconds", "timestamp", "cache", "cache_tiers", "skip",
 				"trace_store", "exp_store"},
 			"cache": cacheKeys,
-			"trace_store": {"hits", "mem_hits", "disk_hits", "misses", "converts", "prefetches", "corrupt",
+			"trace_store": {"hits", "mem_hits", "disk_hits", "misses", "converts", "peak_mapped_bytes", "corrupt",
 				"evictions", "write_errors", "bytes_mapped", "bytes_written"},
 			"exp_store": {"appends", "dup_skipped", "blocks_written", "cells_written", "compactions", "corrupt",
 				"foreign", "bytes_written"},

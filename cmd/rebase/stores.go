@@ -98,8 +98,8 @@ func printStoreStats(cfg experiments.SweepConfig, expMisses int) {
 	}
 	if cfg.Slabs != nil {
 		s := cfg.Slabs.Stats()
-		fmt.Fprintf(os.Stderr, "slabs: %d hits (%d mem, %d disk), %d misses, %d converted, %d prefetched, %d corrupt, %.1f MB mapped, %.1f MB written (%s)\n",
-			s.Hits, s.MemHits, s.DiskHits, s.Misses, s.Converts, s.Prefetches, s.Corrupt,
+		fmt.Fprintf(os.Stderr, "slabs: %d hits (%d mem, %d disk), %d misses, %d converted, %.1f MB peak mapped, %d corrupt, %.1f MB mapped, %.1f MB written (%s)\n",
+			s.Hits, s.MemHits, s.DiskHits, s.Misses, s.Converts, float64(s.PeakMappedBytes)/1e6, s.Corrupt,
 			float64(s.BytesMapped)/1e6, float64(s.BytesWritten)/1e6, cfg.Slabs.Dir())
 	}
 	if cfg.Exp != nil {

@@ -359,8 +359,10 @@ func WriteGolden(dir string) error {
 
 // VerifyGolden checks the corpus in fsys against its manifest: file md5s,
 // decodability of the checked-in binaries, every variant's converted md5
-// and converter statistics, and the pinned simulator counters. Failure
-// messages point at the first divergence.
+// and converter statistics, and the pinned simulator counters. The checks
+// that need no decoding or simulation run first, for every trace, so a
+// corrupt file or an incomplete manifest fails at once. Failure messages
+// point at the first divergence.
 func VerifyGolden(fsys fs.FS, r *Report) error {
 	m, err := LoadManifest(fsys)
 	if err != nil {
@@ -370,15 +372,20 @@ func VerifyGolden(fsys fs.FS, r *Report) error {
 		return fmt.Errorf("golden manifest lists no traces")
 	}
 	for _, gt := range m.Traces {
+		if err := checkGoldenStatic(fsys, gt); err != nil {
+			return fmt.Errorf("golden %s: %w", gt.Name, err)
+		}
+	}
+	if len(m.Multi) == 0 {
+		return fmt.Errorf("golden manifest lists no multi-core pins — regenerate with `go generate ./internal/conformance`")
+	}
+	for _, gt := range m.Traces {
 		if err := verifyGoldenTrace(fsys, m, gt); err != nil {
 			return fmt.Errorf("golden %s: %w", gt.Name, err)
 		}
 		if r != nil {
 			r.okf("golden %s: %d variants, %d pinned sims", gt.Name, len(gt.Variants), len(gt.Sim))
 		}
-	}
-	if len(m.Multi) == 0 {
-		return fmt.Errorf("golden manifest lists no multi-core pins — regenerate with `go generate ./internal/conformance`")
 	}
 	for _, gm := range m.Multi {
 		if err := verifyGoldenMulti(gm); err != nil {
@@ -392,14 +399,37 @@ func VerifyGolden(fsys fs.FS, r *Report) error {
 	return nil
 }
 
+// checkGoldenStatic checks what needs neither decoding nor simulation:
+// both trace files' md5s, and that the manifest pins every converter
+// variant.
+func checkGoldenStatic(fsys fs.FS, gt GoldenTrace) error {
+	for _, f := range [][2]string{{gt.CVPFile, gt.CVPMD5}, {gt.ChampFile, gt.ChampMD5}} {
+		raw, err := fs.ReadFile(fsys, f[0])
+		if err != nil {
+			return err
+		}
+		if got := md5hex(raw); got != f[1] {
+			return fmt.Errorf("%s: md5 %s does not match manifest %s — the trace file was modified without regenerating the manifest",
+				f[0], got, f[1])
+		}
+	}
+	for _, v := range experiments.Variants() {
+		if _, ok := gt.Variants[v.Name]; !ok {
+			return fmt.Errorf("manifest lacks variant %s", v.Name)
+		}
+	}
+	if all := gt.Variants[experiments.VariantAll].MD5; all != gt.ChampMD5 {
+		return fmt.Errorf("%s: manifest md5 %s is not the %s variant's %s", gt.ChampFile, gt.ChampMD5, experiments.VariantAll, all)
+	}
+	return nil
+}
+
+// verifyGoldenTrace decodes, reconverts and resimulates one trace whose
+// files and manifest entry already passed checkGoldenStatic.
 func verifyGoldenTrace(fsys fs.FS, m *Manifest, gt GoldenTrace) error {
 	raw, err := fs.ReadFile(fsys, gt.CVPFile)
 	if err != nil {
 		return err
-	}
-	if got := md5hex(raw); got != gt.CVPMD5 {
-		return fmt.Errorf("%s: md5 %s does not match manifest %s — the trace file was modified without regenerating the manifest",
-			gt.CVPFile, got, gt.CVPMD5)
 	}
 
 	// Decode the checked-in binary through the hardened reader.
@@ -446,10 +476,7 @@ func verifyGoldenTrace(fsys fs.FS, m *Manifest, gt GoldenTrace) error {
 	}
 
 	for _, v := range experiments.Variants() {
-		want, ok := gt.Variants[v.Name]
-		if !ok {
-			return fmt.Errorf("manifest lacks variant %s", v.Name)
-		}
+		want := gt.Variants[v.Name]
 		recs, stats, err := core.ConvertAllBatch(cvp.NewValuesSource(instrs), v.Opts)
 		if err != nil {
 			return fmt.Errorf("convert %s: %w", v.Name, err)
@@ -483,15 +510,11 @@ func verifyGoldenTrace(fsys fs.FS, m *Manifest, gt GoldenTrace) error {
 		}
 	}
 
-	// The checked-in ChampSim binary must decode and match both its md5
-	// and the fresh All_imps conversion.
+	// The checked-in ChampSim binary must decode; checkGoldenStatic tied
+	// its md5 to the All_imps variant's, which the loop above reconverted.
 	champRaw, err := fs.ReadFile(fsys, gt.ChampFile)
 	if err != nil {
 		return err
-	}
-	if got := md5hex(champRaw); got != gt.ChampMD5 {
-		return fmt.Errorf("%s: md5 %s does not match manifest %s — the trace file was modified without regenerating the manifest",
-			gt.ChampFile, got, gt.ChampMD5)
 	}
 	if _, err := champtrace.ReadAll(champtrace.NewReader(bytes.NewReader(champRaw))); err != nil {
 		return fmt.Errorf("%s: decode: %w", gt.ChampFile, err)

@@ -89,7 +89,8 @@ type traceInput struct {
 
 // classInput is the converted input of one (trace, converter-options)
 // class: acquired by the first missed cell of the class to run, shared
-// read-only by the rest, and released when the last one finishes.
+// read-only by the rest, and released when the last one finishes — so a
+// slab stays mapped only while its class has cells running.
 type classInput struct {
 	trace int
 	opts  core.Options
@@ -197,12 +198,12 @@ func forEach(n, par int, fn func(i int)) {
 // cache, and hits are recorded and done. Then only the misses run: a
 // trace is generated only if one of its cells missed, and each (trace,
 // options) class with a miss gets its records once — from the slab store
-// when there is one, in which case a prefetcher maps the next trace's
-// classes while the current one simulates. Without a slab store, a class
-// with several missed cells (Table 3's nine prefetcher models, the
-// ablation's eighteen configurations) is converted once into memory, and
-// a class with one (a sweep variant) streams through its own converter,
-// which keeps peak memory at one batch per cell.
+// when there is one, mapped at the class's first cell and unmapped after
+// its last. Without a slab store, a class with several missed cells
+// (Table 3's nine prefetcher models, the ablation's eighteen
+// configurations) is converted once into memory, and a class with one (a
+// sweep variant) streams through its own converter, which keeps peak
+// memory at one batch per cell.
 //
 // Cache statistics count every cell once: a hit in the lookup phase, or
 // a miss and a compute when the cell runs.
@@ -259,37 +260,7 @@ func (c *SweepConfig) execute(profiles []synth.Profile, cells []cell) *executed 
 	}
 
 	classOf, classes := converterClasses(cells, misses)
-	var plan map[int][]*classInput
-	if c.Slabs != nil {
-		plan = prefetchPlan(cells, misses, classes)
-	}
-	var pace chan []*classInput
-	var prefetchWG sync.WaitGroup
-	if len(plan) > 0 {
-		// Validation touches every page, so by the time the workers reach
-		// the next trace its slabs are resident. The channel holds one
-		// trace and sends never block: prefetch trails at most one trace
-		// behind and never stalls the workers, and a cold store degrades
-		// to a handful of failed opens.
-		pace = make(chan []*classInput, 1)
-		prefetchWG.Add(1)
-		go func() {
-			defer prefetchWG.Done()
-			for ins := range pace {
-				for _, in := range ins {
-					c.Slabs.Prefetch(slabKey(&profiles[in.trace], in.opts, c.Instructions))
-				}
-			}
-		}()
-	}
-
 	forEach(len(misses), c.Parallelism, func(k int) {
-		if next, ok := plan[k]; ok {
-			select {
-			case pace <- next:
-			default:
-			}
-		}
 		i := misses[k]
 		cl := &cells[i]
 		p := &profiles[cl.trace]
@@ -322,36 +293,12 @@ func (c *SweepConfig) execute(profiles []synth.Profile, cells []cell) *executed 
 		in.release()
 		finish(cl.trace)
 	})
-	if pace != nil {
-		close(pace)
-		prefetchWG.Wait()
-	}
 	for ti := range traces {
 		if err := traces[ti].err; err != nil {
 			ex.genErrs[ti] = fmt.Errorf("experiments: generate %s: %w", profiles[ti].Name, err)
 		}
 	}
 	return ex
-}
-
-// prefetchPlan maps the first missed cell of each trace (an index into
-// misses) to the classes of the next trace with misses: the slab prefetcher
-// maps those while the current trace simulates. Traces without misses are
-// never paced.
-func prefetchPlan(cells []cell, misses []int, classes []*classInput) map[int][]*classInput {
-	byTrace := make(map[int][]*classInput)
-	for _, in := range classes {
-		byTrace[in.trace] = append(byTrace[in.trace], in)
-	}
-	plan := make(map[int][]*classInput)
-	start := 0
-	for k := 1; k < len(misses); k++ {
-		if ti := cells[misses[k]].trace; ti != cells[misses[k-1]].trace {
-			plan[start] = byTrace[ti]
-			start = k
-		}
-	}
-	return plan
 }
 
 // sourceFunc returns a fresh start-of-trace source over a cell's converted

@@ -41,7 +41,7 @@ func openCacheAt(t *testing.T, dir string) *ResultCache {
 
 // TestWarmRunTouchesNoInputs: once every cell is cached, the sweep, Table 2
 // and Table 3 resolve from the result cache alone — no generator call and
-// no slab-store operation, not even a prefetch — and each cell counts
+// no slab-store operation — and each cell counts
 // exactly once in the cache statistics, cold and warm.
 func TestWarmRunTouchesNoInputs(t *testing.T) {
 	profiles := []synth.Profile{
@@ -151,12 +151,11 @@ func TestPartialInvalidation(t *testing.T) {
 	if n := gens.Load(); n != 0 {
 		t.Fatalf("%d generations over a warm slab store", n)
 	}
-	// Each invalidated class is mapped from disk once and read once. The
-	// prefetcher may map trace 2's one class ahead of the workers (which
-	// the store counts as a hit of its own).
-	if s := warm.Slabs.Stats(); s.DiskHits != missed || s.Hits-s.Prefetches != missed ||
-		s.Misses != 0 || s.Converts != 0 || s.Prefetches > 1 {
-		t.Fatalf("slab stats %+v, want %d classes mapped and read once each", s, missed)
+	// Each invalidated class is mapped from disk exactly once, and no two
+	// classes share a slab.
+	if s := warm.Slabs.Stats(); s.Hits != missed || s.DiskHits != missed || s.MemHits != 0 ||
+		s.Misses != 0 || s.Converts != 0 {
+		t.Fatalf("slab stats %+v, want %d classes mapped once each from disk", s, missed)
 	}
 	if s := warm.Cache.Stats(); s.Misses != missed || s.Computes != missed || s.Hits != total-missed || s.DiskHits != total-missed {
 		t.Fatalf("cache stats %+v, want %d misses and %d disk hits", s, missed, total-missed)

@@ -1,7 +1,11 @@
 package experiments
 
 import (
+	"io/fs"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"tracerebase/internal/core"
@@ -116,6 +120,61 @@ func TestRunSweepSlabTransparency(t *testing.T) {
 	st = warm.Slabs.Stats()
 	if st.Converts != 0 || st.DiskHits == 0 {
 		t.Fatalf("warm store stats: %+v", st)
+	}
+}
+
+// TestSweepMapsOnlyRunningSlabs: sweep classes are single-cell, so a
+// slab-warm sweep at Parallelism 2 never holds more than two slabs mapped
+// at once, and once it returns nothing of the store is mapped.
+func TestSweepMapsOnlyRunningSlabs(t *testing.T) {
+	profiles := []synth.Profile{
+		synth.PublicProfile(synth.ComputeInt, 2),
+		synth.PublicProfile(synth.Crypto, 1),
+		synth.PublicProfile(synth.Server, 3),
+	}
+	cfg := testSweepConfig()
+	cfg.Parallelism = 2
+	cfg.Variants = figureVariants(VariantNone, VariantBranch, VariantAll)
+	dir := t.TempDir()
+	cold := cfg
+	cold.Slabs = testSlabStore(t, dir)
+	if _, err := RunSweep(profiles, cold); err != nil {
+		t.Fatal(err)
+	}
+
+	warm := cfg
+	warm.Slabs = testSlabStore(t, dir)
+	if _, err := RunSweep(profiles, warm); err != nil {
+		t.Fatal(err)
+	}
+	st := warm.Slabs.Stats()
+	if n := uint64(len(profiles) * len(cfg.Variants)); st.DiskHits != n || st.Converts != 0 {
+		t.Fatalf("warm store stats %+v, want %d disk hits and no conversion", st, n)
+	}
+	var largest int64
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !strings.HasSuffix(path, ".slab") {
+			return err
+		}
+		info, err := d.Info()
+		if err == nil {
+			largest = max(largest, info.Size())
+		}
+		return err
+	})
+	if err != nil || largest == 0 {
+		t.Fatalf("no slab files under %s (err %v)", dir, err)
+	}
+	if st.PeakMappedBytes == 0 || st.PeakMappedBytes > uint64(2*largest) {
+		t.Fatalf("peak mapped %d bytes, want (0, %d]: at most two %d-byte slabs at once",
+			st.PeakMappedBytes, 2*largest, largest)
+	}
+	// Where the kernel lists the process's mappings, none may be a slab.
+	maps, _ := os.ReadFile("/proc/self/maps")
+	for _, line := range strings.Split(string(maps), "\n") {
+		if strings.Contains(line, dir) {
+			t.Fatalf("slab file still mapped after the sweep returned: %s", line)
+		}
 	}
 }
 

@@ -159,9 +159,8 @@ type SweepConfig struct {
 	// address: conversion is hoisted out of the per-variant loop into
 	// converter-option equivalence classes (convert once per trace and
 	// class, feed every cell in the class from one shared read-only slab),
-	// warm slabs load zero-copy from disk instead of reconverting, and the
-	// slabs of the next trace with a result-cache miss are prefetched while
-	// the current one simulates.
+	// and warm slabs load zero-copy from disk instead of reconverting. A
+	// class's slab stays mapped only while its cells run.
 	// nil reproduces the streaming-conversion engine exactly.
 	Slabs *SlabStore
 	// Exp, when non-nil, is the append-only columnar experiment store:

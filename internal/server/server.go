@@ -146,12 +146,8 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	var spec JobSpec
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&spec); err != nil {
-		http.Error(w, fmt.Sprintf("bad job spec: %v", err), http.StatusBadRequest)
-		return
-	}
-	if err := spec.Validate(); err != nil {
+	spec, err := decodeJobSpec(r.Body)
+	if err != nil {
 		http.Error(w, fmt.Sprintf("bad job spec: %v", err), http.StatusBadRequest)
 		return
 	}
@@ -175,6 +171,16 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		s.jobsShared.Add(1)
 	}
 	j.streamTo(w)
+}
+
+// decodeJobSpec reads a POST /jobs body: at most 1 MiB of JSON, validated
+// and normalized.
+func decodeJobSpec(body io.Reader) (JobSpec, error) {
+	var spec JobSpec
+	if err := json.NewDecoder(io.LimitReader(body, 1<<20)).Decode(&spec); err != nil {
+		return spec, err
+	}
+	return spec, spec.Validate()
 }
 
 // streamCached emits the three-event sequence of a cache hit.

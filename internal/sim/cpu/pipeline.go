@@ -701,15 +701,16 @@ func (p *Pipeline) newUop(in *champtrace.Instruction, nextIP uint64) (uref, *uop
 	p.seq++
 	r := uref(uint32(p.seq))
 	u := &p.arena[r&p.arenaMask]
-	*u = uop{
-		ip:        in.IP,
-		seq:       p.seq,
-		btype:     champtrace.Classify(in, p.cfg.Rules),
-		taken:     in.IsBranch && in.Taken,
-		srcRegs:   in.SrcRegs,
-		dstRegs:   in.DestRegs,
-		fetchLine: mem.LineAddr(in.IP),
-	}
+	// Zero the slot in place and assign the fields one by one: a composite
+	// literal would be built on the stack and copied into the arena.
+	*u = uop{}
+	u.ip = in.IP
+	u.seq = p.seq
+	u.btype = champtrace.Classify(in, p.cfg.Rules)
+	u.taken = in.IsBranch && in.Taken
+	u.srcRegs = in.SrcRegs
+	u.dstRegs = in.DestRegs
+	u.fetchLine = mem.LineAddr(in.IP)
 	if u.taken {
 		u.target = nextIP
 	}

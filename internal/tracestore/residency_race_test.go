@@ -6,15 +6,16 @@ import (
 	"testing"
 )
 
-// TestEvictionDoesNotUnmapInUseSlab races both eviction paths against a
-// referenced slab: with MaxResident=1 every churned conversion evicts the
-// held slab from residency, and a tiny MaxBytes forces disk LRU eviction
-// of its file as well. Throughout, a reader hammers the held mapping —
-// under -race and on real mmap pages, an unmap of an in-use slab would
-// fault or corrupt the read. The contract: eviction only drops the
-// store's residency hold; the mapping lives until the last Release.
+// TestEvictionDoesNotUnmapInUseSlab churns other keys against a
+// referenced slab: every churned conversion maps a slab and its Release
+// unmaps it again, and a tiny MaxBytes forces disk LRU eviction of the
+// held slab's file as well. Throughout, a reader hammers the held mapping
+// — under -race and on real mmap pages, an unmap of an in-use slab would
+// fault or corrupt the read. The contract: neither other keys' unmaps nor
+// disk eviction touch a held slab; its mapping lives until the last
+// Release.
 func TestEvictionDoesNotUnmapInUseSlab(t *testing.T) {
-	s := mustOpen(t, Config{Dir: t.TempDir(), MaxResident: 1, MaxBytes: 1 << 15})
+	s := mustOpen(t, Config{Dir: t.TempDir(), MaxBytes: 1 << 15})
 
 	keyHeld := testKey(1000)
 	want := testRecords(400, 5)
@@ -44,8 +45,8 @@ func TestEvictionDoesNotUnmapInUseSlab(t *testing.T) {
 		}()
 	}
 
-	// Churn: every conversion both steals the single residency slot and
-	// pushes the disk index past its bound.
+	// Churn: every conversion maps and unmaps a slab of its own and pushes
+	// the disk index past its bound.
 	var churn sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		churn.Add(1)
@@ -74,22 +75,19 @@ func TestEvictionDoesNotUnmapInUseSlab(t *testing.T) {
 		t.Fatal("held slab records differ after eviction churn")
 	}
 	s.mu.Lock()
-	destroyed, resident := held.destroyed, held.resident
+	destroyed := held.destroyed
 	s.mu.Unlock()
 	if destroyed {
 		t.Fatal("slab backing memory released while still referenced")
 	}
-	if resident {
-		t.Fatal("churn should have evicted the held slab from residency (MaxResident=1)")
-	}
 
-	// With residency already dropped, the last Release frees the mapping.
+	// The last Release frees the mapping.
 	held.Release()
 	s.mu.Lock()
 	destroyed = held.destroyed
 	s.mu.Unlock()
 	if !destroyed {
-		t.Fatal("non-resident slab should be destroyed at its last Release")
+		t.Fatal("slab should be destroyed at its last Release")
 	}
 	if st := s.Stats(); st.Evictions == 0 {
 		t.Fatalf("churn should have caused disk evictions: %+v", st)

@@ -5,11 +5,11 @@ import (
 	"tracerebase/internal/core"
 )
 
-// Slab is one converted trace, resident in the store. Its record slice is
-// a read-only view into an mmap'd file (or, after a write failure, a
-// plain heap slab) and stays valid until Release drops the last reference
-// AND the store has evicted it from residency — a slab is never unmapped
-// under a simulation that still holds it.
+// Slab is one converted trace, held by at least one caller. Its record
+// slice is a read-only view into an mmap'd file (or, after a write
+// failure, a plain heap slab) and stays valid until Release drops the last
+// reference — a slab is never unmapped under a simulation that still
+// holds it.
 type Slab struct {
 	store *Store
 	key   Key
@@ -19,16 +19,14 @@ type Slab struct {
 	// data is the raw mapping backing recs; nil for heap slabs.
 	data []byte
 	// heap marks a slab whose records live on the Go heap (write-failure
-	// fallback, or the non-mmap platform path for disk loads). Destroying
-	// a heap slab recycles the records into the store's scratch pool.
+	// fallback, or the non-mmap platform path for disk loads). Freeing a
+	// heap slab recycles the records into the store's scratch pool.
 	heap bool
 
 	// The fields below are guarded by store.mu.
-	refs     int32
-	resident bool
-	lastUse  uint64
-	// destroyed is a test hook: set exactly once, when the backing memory
-	// is released.
+	refs int32
+	// destroyed is a test hook: set exactly once, when the last Release
+	// gives up the backing memory.
 	destroyed bool
 }
 
@@ -44,9 +42,8 @@ func (s *Slab) Conv() core.Stats { return s.conv }
 // Len returns the record count.
 func (s *Slab) Len() int { return len(s.recs) }
 
-// Release drops the caller's reference. The backing memory is freed only
-// once no caller holds a reference and the store no longer keeps the slab
-// resident for reuse.
+// Release drops the caller's reference. The last one unindexes the slab
+// and frees its backing memory, so the next lookup maps the file afresh.
 func (s *Slab) Release() {
 	if s == nil {
 		return
@@ -58,24 +55,26 @@ func (s *Slab) Release() {
 		panic("tracestore: Release without matching reference")
 	}
 	s.refs--
-	drop := s.refs == 0 && (!s.resident || st.closed)
+	last := s.refs == 0
+	if last {
+		delete(st.open, s.key)
+		st.mapped -= uint64(len(s.data))
+		s.destroyed = true
+	}
 	st.mu.Unlock()
-	if drop {
-		s.destroy()
+	if last {
+		s.free()
 	}
 }
 
-// destroy releases the backing memory. Callers must have established that
-// no reference remains and the store has dropped residency.
-func (s *Slab) destroy() {
+// free releases the backing memory of a slab no caller can reach: an
+// unindexed one, or a duplicate mapping that lost an install race.
+func (s *Slab) free() {
 	if s.data != nil {
 		unmapFile(s.data)
 		s.data = nil
-	} else if s.heap && s.store != nil {
+	} else if s.heap {
 		s.store.putScratch(s.recs)
 	}
 	s.recs = nil
-	s.store.mu.Lock()
-	s.destroyed = true
-	s.store.mu.Unlock()
 }

@@ -24,11 +24,6 @@ type Config struct {
 	// per instruction, far heavier than result records, so the budget is
 	// correspondingly larger than resultcache's).
 	MaxBytes int64
-	// MaxResident bounds how many unreferenced slabs the store keeps
-	// mapped for reuse within the process. <= 0 selects the default.
-	// Referenced slabs never count against safety — eviction only drops
-	// residency; the mapping lives until the last Release.
-	MaxResident int
 	// Warn, when set, receives printf-style diagnostics for conditions the
 	// store absorbs (corrupt slabs, write failures) so runs degrade loudly
 	// instead of silently.
@@ -39,18 +34,14 @@ type Config struct {
 // large enough to hold every slab of a full `-exp all -step 3` run.
 const DefaultMaxBytes = 8 << 30
 
-// DefaultMaxResident is the resident-slab bound when Config.MaxResident is
-// unset.
-const DefaultMaxResident = 32
-
 // Stats counts store activity since Open. The json names are the ones
 // `rebase -bench-json` records.
 type Stats struct {
 	// Hits = MemHits + DiskHits. Misses each trigger one conversion.
 	Hits   uint64 `json:"hits"`
 	Misses uint64 `json:"misses"`
-	// MemHits were served from an already-resident mapping, DiskHits by
-	// mapping (and validating) a slab file.
+	// MemHits were served from a mapping another caller still holds,
+	// DiskHits by mapping (and validating) a slab file.
 	MemHits  uint64 `json:"mem_hits"`
 	DiskHits uint64 `json:"disk_hits"`
 	// SharedWaits counts single-flight joins on an in-progress conversion.
@@ -67,12 +58,13 @@ type Stats struct {
 	// WriteErrors counts persist failures; the converted slab is still
 	// served from the heap, so a read-only store degrades gracefully.
 	WriteErrors uint64 `json:"write_errors"`
-	// Prefetches counts slabs warmed ahead of use by Prefetch.
-	Prefetches uint64 `json:"prefetches"`
 	// BytesMapped counts slab file bytes mapped from disk; BytesWritten
 	// counts slab file bytes persisted.
 	BytesMapped  uint64 `json:"bytes_mapped"`
 	BytesWritten uint64 `json:"bytes_written"`
+	// PeakMappedBytes is the most slab file bytes the store held mapped at
+	// once: the slab share of the process's resident memory.
+	PeakMappedBytes uint64 `json:"peak_mapped_bytes"`
 }
 
 // ConvertFunc builds the records for a slab on a store miss. scratch is a
@@ -85,12 +77,13 @@ type flight struct {
 	err  error
 }
 
-// Store is the content-addressed slab store. All methods are safe for
-// concurrent use.
+// Store is the content-addressed slab store. A slab stays mapped exactly
+// as long as some caller holds a reference to it: the first reference maps
+// it, later ones share that mapping, and the last Release unmaps it. All
+// methods are safe for concurrent use.
 type Store struct {
-	shards      *resultcache.Shards // rooted at Config.Dir/v<FormatVersion>, entries *.slab
-	maxResident int
-	warn        func(string, ...any)
+	shards *resultcache.Shards // rooted at Config.Dir/v<FormatVersion>, entries *.slab
+	warn   func(string, ...any)
 
 	// scratch recycles conversion buffers (grown to trace size after the
 	// first conversion) so steady-state misses allocate no slab memory.
@@ -99,11 +92,10 @@ type Store struct {
 	bufw sync.Pool // of *bufio.Writer
 
 	mu      sync.Mutex
-	open    map[Key]*Slab // resident slabs (mapped, reusable)
+	open    map[Key]*Slab // referenced slabs
 	flights map[Key]*flight
-	tick    uint64
+	mapped  uint64 // file bytes the slabs in open hold mapped
 	stats   Stats
-	closed  bool
 }
 
 // Open opens (creating if needed) the slab store rooted at cfg.Dir and
@@ -116,9 +108,6 @@ func Open(cfg Config) (*Store, error) {
 	if cfg.MaxBytes <= 0 {
 		cfg.MaxBytes = DefaultMaxBytes
 	}
-	if cfg.MaxResident <= 0 {
-		cfg.MaxResident = DefaultMaxResident
-	}
 	if cfg.Warn == nil {
 		cfg.Warn = func(string, ...any) {}
 	}
@@ -127,11 +116,10 @@ func Open(cfg Config) (*Store, error) {
 		return nil, fmt.Errorf("tracestore: %w", err)
 	}
 	return &Store{
-		shards:      shards,
-		maxResident: cfg.MaxResident,
-		warn:        cfg.Warn,
-		open:        make(map[Key]*Slab),
-		flights:     make(map[Key]*flight),
+		shards:  shards,
+		warn:    cfg.Warn,
+		open:    make(map[Key]*Slab),
+		flights: make(map[Key]*flight),
 	}, nil
 }
 
@@ -166,20 +154,20 @@ func (s *Store) putScratch(b []champtrace.Instruction) {
 	s.scratch.Put(&b)
 }
 
-// Get returns the slab for key if it is resident or valid on disk, taking
-// a reference the caller must Release. It never converts and never joins
-// an in-flight conversion.
+// Get returns the slab for key if another caller holds it or it is valid
+// on disk, taking a reference the caller must Release. It never converts
+// and never joins an in-flight conversion.
 func (s *Store) Get(key Key) (*Slab, bool) {
 	s.mu.Lock()
 	if sl, ok := s.open[key]; ok {
-		s.ref(sl)
+		sl.refs++
 		s.stats.Hits++
 		s.stats.MemHits++
 		s.mu.Unlock()
 		return sl, true
 	}
 	s.mu.Unlock()
-	if sl := s.loadDisk(key, true); sl != nil {
+	if sl := s.loadDisk(key); sl != nil {
 		return sl, true
 	}
 	s.mu.Lock()
@@ -197,7 +185,7 @@ func (s *Store) GetOrConvert(key Key, convert ConvertFunc) (*Slab, error) {
 	for {
 		s.mu.Lock()
 		if sl, ok := s.open[key]; ok {
-			s.ref(sl)
+			sl.refs++
 			s.stats.Hits++
 			s.stats.MemHits++
 			s.mu.Unlock()
@@ -210,10 +198,9 @@ func (s *Store) GetOrConvert(key Key, convert ConvertFunc) (*Slab, error) {
 			if fl.err != nil {
 				return nil, fl.err
 			}
-			// The leader installed the slab resident; retry from the top to
-			// take a reference of our own. (If residency pressure already
-			// evicted it, the retry reloads it from the file the leader
-			// persisted.)
+			// Retry from the top to take a reference of our own: a mem hit
+			// while the leader still holds the slab, else a disk hit on the
+			// file it persisted.
 			continue
 		}
 		fl := &flight{done: make(chan struct{})}
@@ -234,10 +221,9 @@ func (s *Store) GetOrConvert(key Key, convert ConvertFunc) (*Slab, error) {
 }
 
 // fill resolves a leader's lookup: disk, then convert+persist. The
-// returned slab carries the leader's reference and has been installed
-// resident.
+// returned slab carries the leader's reference and has been installed.
 func (s *Store) fill(key Key, convert ConvertFunc) (*Slab, error) {
-	if sl := s.loadDisk(key, true); sl != nil {
+	if sl := s.loadDisk(key); sl != nil {
 		return sl, nil
 	}
 
@@ -257,44 +243,24 @@ func (s *Store) fill(key Key, convert ConvertFunc) (*Slab, error) {
 	sl := s.persist(key, recs, conv)
 	s.mu.Lock()
 	if prior, ok := s.open[key]; ok {
-		// A Prefetch mapped the just-persisted file before we installed the
-		// conversion result: adopt the resident mapping, drop ours.
-		s.ref(prior)
-		s.destroyLocked(sl)
+		// A concurrent Get mapped the just-persisted file before we
+		// installed the conversion result: adopt its mapping, drop ours.
+		prior.refs++
 		s.mu.Unlock()
+		sl.free()
 		return prior, nil
 	}
 	s.install(sl)
-	s.ref(sl)
 	s.mu.Unlock()
 	return sl, nil
 }
 
-// Prefetch warms the slab for key from disk — validating it touches every
-// page — so a subsequent GetOrConvert is a resident hit. It takes no
-// reference and converts nothing; a miss or corrupt slab is simply left
-// for the eventual GetOrConvert to resolve.
-func (s *Store) Prefetch(key Key) {
-	s.mu.Lock()
-	_, resident := s.open[key]
-	_, inFlight := s.flights[key]
-	s.mu.Unlock()
-	if resident || inFlight {
-		return
-	}
-	if s.loadDisk(key, false) != nil {
-		s.mu.Lock()
-		s.stats.Prefetches++
-		s.mu.Unlock()
-	}
-}
-
-// loadDisk maps and validates the slab file for key, installs it resident,
-// and (when ref is set) takes a caller reference. It returns nil on miss.
+// loadDisk maps and validates the slab file for key, installs it, and takes
+// a caller reference. It returns nil on miss.
 // Corrupt files are removed so they are reconverted, never served; foreign
 // files (other format version or architecture) are left in place for the
 // native writer to atomically replace.
-func (s *Store) loadDisk(key Key, ref bool) *Slab {
+func (s *Store) loadDisk(key Key) *Slab {
 	path := s.EntryPath(key)
 	f, err := os.Open(path)
 	if err != nil {
@@ -349,82 +315,30 @@ func (s *Store) loadDisk(key Key, ref bool) *Slab {
 	s.shards.Hit(key, size)
 	s.mu.Lock()
 	if prior, ok := s.open[key]; ok {
-		// Lost a race with another loader (Prefetch vs GetOrConvert): keep
-		// the installed mapping, drop ours.
-		if ref {
-			s.ref(prior)
-			s.stats.Hits++
-			s.stats.MemHits++
-		}
+		// Lost a race with another loader (Get vs GetOrConvert): share the
+		// installed mapping, drop ours.
+		prior.refs++
+		s.stats.Hits++
+		s.stats.MemHits++
 		s.mu.Unlock()
-		unmapFile(sl.data)
+		sl.free()
 		return prior
 	}
 	s.stats.Hits++
 	s.stats.DiskHits++
 	s.stats.BytesMapped += uint64(size)
 	s.install(sl)
-	if ref {
-		s.ref(sl)
-	}
 	s.mu.Unlock()
 	return sl
 }
 
-// ref (mu held) takes a caller reference and refreshes residency LRU age.
-func (s *Store) ref(sl *Slab) {
-	sl.refs++
-	s.tick++
-	sl.lastUse = s.tick
-}
-
-// install (mu held) makes sl resident and trims residency to the bound,
-// least recently used first. Eviction only drops the store's residency
-// hold: a victim still referenced by a simulation stays mapped until its
-// last Release; a fully idle one is unmapped immediately.
+// install (mu held) indexes sl under the caller's first reference, so
+// later callers share its mapping until the last Release drops it.
 func (s *Store) install(sl *Slab) {
-	if s.closed {
-		// Store closed underneath a racing fill: hand the slab to the
-		// caller un-resident; its last Release destroys it.
-		return
-	}
+	sl.refs = 1
 	s.open[sl.key] = sl
-	sl.resident = true
-	s.tick++
-	sl.lastUse = s.tick
-	for len(s.open) > s.maxResident {
-		var victim *Slab
-		for _, cand := range s.open {
-			if cand == sl {
-				continue
-			}
-			if victim == nil || cand.lastUse < victim.lastUse {
-				victim = cand
-			}
-		}
-		if victim == nil {
-			break
-		}
-		delete(s.open, victim.key)
-		victim.resident = false
-		if victim.refs == 0 {
-			s.destroyLocked(victim)
-		}
-	}
-}
-
-// destroyLocked releases victim's backing memory while holding s.mu. It
-// inlines Slab.destroy minus the re-lock.
-func (s *Store) destroyLocked(victim *Slab) {
-	if victim.data != nil {
-		unmapFile(victim.data)
-		victim.data = nil
-	} else if victim.heap {
-		// putScratch touches only the pool; safe under mu.
-		s.putScratch(victim.recs)
-	}
-	victim.recs = nil
-	victim.destroyed = true
+	s.mapped += uint64(len(sl.data))
+	s.stats.PeakMappedBytes = max(s.stats.PeakMappedBytes, s.mapped)
 }
 
 // persist writes the slab file atomically (temp + rename), remaps it so
@@ -508,18 +422,7 @@ func (s *Store) persistFailed(heapSlab func() *Slab, err error) *Slab {
 	return heapSlab()
 }
 
-// Close drops every resident slab. Slabs still referenced stay mapped
-// until their last Release; everything else is unmapped now. The store
-// must not be used after Close.
-func (s *Store) Close() {
-	s.mu.Lock()
-	s.closed = true
-	for k, sl := range s.open {
-		delete(s.open, k)
-		sl.resident = false
-		if sl.refs == 0 {
-			s.destroyLocked(sl)
-		}
-	}
-	s.mu.Unlock()
-}
+// Close exists for symmetry with the other stores: the store keeps no
+// unreferenced slab mapped, so there is nothing to drop. Slabs still
+// referenced stay mapped until their last Release.
+func (s *Store) Close() {}

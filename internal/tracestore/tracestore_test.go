@@ -86,17 +86,27 @@ func TestConvertPersistReload(t *testing.T) {
 		t.Fatalf("cold stats: %+v", st)
 	}
 
-	// Second lookup in-process: resident hit, no conversion.
+	// Second lookup in-process: the last Release unmapped the slab, so it
+	// is a disk hit, and no conversion.
 	sl2, err := s.GetOrConvert(key, converterFor(500, 777, nil))
 	if err != nil {
 		t.Fatalf("warm GetOrConvert: %v", err)
 	}
 	if !reflect.DeepEqual(sl2.Records(), want) {
-		t.Fatalf("resident records differ")
+		t.Fatalf("re-read records differ")
 	}
+	if st := s.Stats(); st.DiskHits != 1 || st.MemHits != 0 || st.Converts != 1 {
+		t.Fatalf("re-read stats: %+v", st)
+	}
+	// While that reference is held, another lookup shares its mapping.
+	sl2b, ok := s.Get(key)
+	if !ok || sl2b != sl2 {
+		t.Fatalf("held slab not shared (ok=%v)", ok)
+	}
+	sl2b.Release()
 	sl2.Release()
-	if st := s.Stats(); st.MemHits != 1 {
-		t.Fatalf("warm stats: %+v", st)
+	if st := s.Stats(); st.MemHits != 1 || st.DiskHits != 1 {
+		t.Fatalf("shared-mapping stats: %+v", st)
 	}
 	s.Close()
 
@@ -353,7 +363,7 @@ func TestForeignVersionIsMissWithoutDelete(t *testing.T) {
 }
 
 func TestMmapLifetime(t *testing.T) {
-	s := mustOpen(t, Config{Dir: t.TempDir(), MaxResident: 1})
+	s := mustOpen(t, Config{Dir: t.TempDir()})
 	keyA, keyB := testKey(10), testKey(11)
 
 	slA, err := s.GetOrConvert(keyA, converterFor(200, 10, nil))
@@ -362,55 +372,52 @@ func TestMmapLifetime(t *testing.T) {
 	}
 	wantA := append([]champtrace.Instruction(nil), slA.Records()...)
 
-	// Installing B exceeds MaxResident=1 and evicts A's residency — but A
-	// is still referenced, so its mapping must survive untouched.
+	// Mapping and releasing another key leaves the held A untouched, and
+	// frees B's mapping at once.
 	slB, err := s.GetOrConvert(keyB, converterFor(200, 11, nil))
 	if err != nil {
 		t.Fatalf("B: %v", err)
 	}
+	slB.Release()
 	s.mu.Lock()
-	aResident, aDestroyed := slA.resident, slA.destroyed
+	aDestroyed, bDestroyed := slA.destroyed, slB.destroyed
 	s.mu.Unlock()
-	if aResident {
-		t.Fatalf("A still resident past MaxResident=1")
-	}
 	if aDestroyed {
 		t.Fatalf("A destroyed while still referenced")
 	}
+	if !bDestroyed {
+		t.Fatalf("B still mapped after its last Release")
+	}
 	if !reflect.DeepEqual(slA.Records(), wantA) {
-		t.Fatalf("A's records changed under eviction")
+		t.Fatalf("A's records changed while another key was mapped and released")
 	}
 
-	// The last Release is what frees it.
+	// The last Release is what frees A.
 	slA.Release()
 	s.mu.Lock()
 	aDestroyed = slA.destroyed
 	s.mu.Unlock()
 	if !aDestroyed {
-		t.Fatalf("A not destroyed after last Release with residency dropped")
+		t.Fatalf("A not destroyed after its last Release")
+	}
+	s.mu.Lock()
+	mapped, peak := s.mapped, s.stats.PeakMappedBytes
+	s.mu.Unlock()
+	if mapped != 0 || peak == 0 {
+		t.Fatalf("%d bytes mapped after every Release (peak %d)", mapped, peak)
 	}
 
-	// B stays resident: Release keeps it mapped for reuse.
-	slB.Release()
-	s.mu.Lock()
-	bDestroyed := slB.destroyed
-	s.mu.Unlock()
-	if bDestroyed {
-		t.Fatalf("resident B destroyed on Release")
-	}
-	slB2, ok := s.Get(keyB)
+	// Nothing kept it mapped, so a second Get maps the file again.
+	slA2, ok := s.Get(keyA)
 	if !ok {
-		t.Fatalf("resident B not served")
+		t.Fatalf("A not served from disk")
 	}
-	slB2.Release()
-
-	// Close drops residency; with no references left, B is unmapped.
-	s.Close()
-	s.mu.Lock()
-	bDestroyed = slB.destroyed
-	s.mu.Unlock()
-	if !bDestroyed {
-		t.Fatalf("B not destroyed on Close")
+	if !reflect.DeepEqual(slA2.Records(), wantA) {
+		t.Fatalf("A's records differ after re-mapping")
+	}
+	slA2.Release()
+	if st := s.Stats(); st.DiskHits != 1 || st.MemHits != 0 {
+		t.Fatalf("second Get of a released slab: %+v, want one disk hit", st)
 	}
 }
 
@@ -437,7 +444,7 @@ func TestCloseWithOutstandingRef(t *testing.T) {
 func TestDiskLRUEviction(t *testing.T) {
 	// Each 100-record slab file is 4096 + 6400 + meta + 8 ≈ 10.6 KB; a
 	// 32 KB budget holds two.
-	s := mustOpen(t, Config{Dir: t.TempDir(), MaxBytes: 32 << 10, MaxResident: 1})
+	s := mustOpen(t, Config{Dir: t.TempDir(), MaxBytes: 32 << 10})
 	for i := uint64(0); i < 4; i++ {
 		sl, err := s.GetOrConvert(testKey(20+i), converterFor(100, i, nil))
 		if err != nil {
@@ -455,43 +462,6 @@ func TestDiskLRUEviction(t *testing.T) {
 	// The most recent slab must have survived.
 	if _, err := os.Stat(s.EntryPath(testKey(23))); err != nil {
 		t.Fatalf("newest slab evicted: %v", err)
-	}
-}
-
-func TestPrefetchWarmsResident(t *testing.T) {
-	dir := t.TempDir()
-	key := testKey(30)
-	s := mustOpen(t, Config{Dir: dir})
-	sl, err := s.GetOrConvert(key, converterFor(100, 30, nil))
-	if err != nil {
-		t.Fatalf("seed: %v", err)
-	}
-	sl.Release()
-	s.Close()
-
-	s2 := mustOpen(t, Config{Dir: dir})
-	s2.Prefetch(key)
-	st := s2.Stats()
-	if st.Prefetches != 1 || st.DiskHits != 1 {
-		t.Fatalf("prefetch stats: %+v", st)
-	}
-	// The subsequent lookup is a resident hit, not a disk load.
-	var calls atomic.Int64
-	sl2, err := s2.GetOrConvert(key, converterFor(100, 30, &calls))
-	if err != nil {
-		t.Fatalf("GetOrConvert: %v", err)
-	}
-	sl2.Release()
-	if calls.Load() != 0 {
-		t.Fatalf("prefetched slab reconverted")
-	}
-	if st := s2.Stats(); st.MemHits != 1 {
-		t.Fatalf("post-prefetch stats: %+v", st)
-	}
-	// Prefetch of a missing key is a quiet no-op.
-	s2.Prefetch(testKey(31))
-	if st := s2.Stats(); st.Prefetches != 1 {
-		t.Fatalf("missing-key prefetch counted: %+v", st)
 	}
 }
 
@@ -531,7 +501,7 @@ func TestWriteFailureDegradesToHeap(t *testing.T) {
 }
 
 func TestScratchPoolRecycled(t *testing.T) {
-	s := mustOpen(t, Config{Dir: t.TempDir(), MaxResident: 1})
+	s := mustOpen(t, Config{Dir: t.TempDir()})
 	var sawScratch bool
 	for i := uint64(0); i < 3; i++ {
 		sl, err := s.GetOrConvert(testKey(50+i), func(scratch []champtrace.Instruction) ([]champtrace.Instruction, core.Stats, error) {
