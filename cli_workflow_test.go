@@ -123,6 +123,8 @@ func TestCLIFrontEnd(t *testing.T) {
 			ExpStore struct {
 				Appends      uint64 `json:"appends"`
 				CellsWritten uint64 `json:"cells_written"`
+				LookupHits   uint64 `json:"lookup_hits"`
+				LookupMisses uint64 `json:"lookup_misses"`
 			} `json:"exp_store"`
 		}
 		if err := json.Unmarshal(data, &rec); err != nil {
@@ -142,6 +144,10 @@ func TestCLIFrontEnd(t *testing.T) {
 			t.Fatalf("bench-json: %d appends, %d cells written, %d cache misses; the store holds %d cells",
 				rec.ExpStore.Appends, rec.ExpStore.CellsWritten, rec.Cache.Misses, len(cells))
 		}
+		if rec.ExpStore.LookupHits != 0 || rec.ExpStore.LookupMisses != uint64(len(cells)) {
+			t.Fatalf("bench-json: %d exp-store lookup hits, %d misses on a cold run; want 0 and %d",
+				rec.ExpStore.LookupHits, rec.ExpStore.LookupMisses, len(cells))
+		}
 		requireBenchKeys(t, data, map[string][]string{
 			"": {"experiment", "step", "instructions", "warmup", "parallelism", "num_cpu", "goos", "goarch",
 				"go_version", "no_skip", "wall_seconds", "timestamp", "cache", "cache_tiers", "skip",
@@ -150,7 +156,7 @@ func TestCLIFrontEnd(t *testing.T) {
 			"trace_store": {"hits", "mem_hits", "disk_hits", "misses", "converts", "peak_mapped_bytes", "corrupt",
 				"evictions", "write_errors", "bytes_mapped", "bytes_written"},
 			"exp_store": {"appends", "dup_skipped", "blocks_written", "cells_written", "compactions", "corrupt",
-				"foreign", "bytes_written"},
+				"foreign", "bytes_written", "lookup_hits", "lookup_misses"},
 		})
 	})
 

@@ -22,7 +22,9 @@
 // Alongside the caches, every sweep records its result cells into a
 // columnar experiment store (<cache dir>/exp, relocated by -exp-store-dir,
 // disabled by -no-exp-store) and reads its rendered results back out of
-// it. The store is queryable without re-running anything:
+// it. Unless -no-cache is given, the store is also where a repeat run's
+// cells come from first; the result cache serves only the store's misses.
+// The store is queryable without re-running anything:
 //
 //	rebase query 'category=srv variant=all,none metric=ipc group-by=rob stat=p50,p99'
 //
@@ -402,8 +404,8 @@ type benchRecord struct {
 	// TraceStore records compiled-trace slab store activity: a warm store
 	// shows disk hits and zero converts.
 	TraceStore *tracestore.Stats `json:"trace_store,omitempty"`
-	// ExpStore records columnar experiment-store activity: a warm store
-	// shows every offered cell deduplicated and nothing written.
+	// ExpStore records columnar experiment-store activity: a warm run
+	// shows every cell a lookup hit, nothing offered and nothing written.
 	ExpStore *expstore.Stats `json:"exp_store,omitempty"`
 }
 

@@ -104,8 +104,8 @@ func printStoreStats(cfg experiments.SweepConfig, expMisses int) {
 	}
 	if cfg.Exp != nil {
 		s := cfg.Exp.Stats()
-		fmt.Fprintf(os.Stderr, "exp-store: %d cells appended (%d dup), %d read-back misses, %d blocks written, %d compactions, %d corrupt, %.1f MB written (%s)\n",
-			s.Appends, s.DupSkipped, expMisses, s.BlocksWritten, s.Compactions, s.Corrupt,
+		fmt.Fprintf(os.Stderr, "exp-store: %d lookup hits, %d lookup misses, %d cells appended (%d dup), %d read-back misses, %d blocks written, %d compactions, %d corrupt, %.1f MB written (%s)\n",
+			s.LookupHits, s.LookupMisses, s.Appends, s.DupSkipped, expMisses, s.BlocksWritten, s.Compactions, s.Corrupt,
 			float64(s.BytesWritten)/1e6, cfg.Exp.Dir())
 	}
 }

@@ -11,6 +11,7 @@ import (
 
 	"tracerebase/internal/experiments"
 	"tracerebase/internal/expstore"
+	"tracerebase/internal/resultcache"
 	"tracerebase/internal/synth"
 )
 
@@ -23,9 +24,14 @@ import (
 // (and structurally identical results) from all of them. The corrupted
 // block must be caught by checksum, discarded with a pointed warning, and
 // reported as read-back misses — never served, never a crash — and a
-// follow-up sweep must re-append exactly the lost cells. Finally, the
-// pruned query path over the populated store must return the same rows as
-// the brute-force full scan while reading fewer bytes.
+// follow-up sweep must re-append exactly the lost cells. Two lookup passes
+// add a result cache beside the store, which makes the store the first
+// lookup: over the filled store every cell must be served from it, with
+// nothing generated, simulated or re-offered; after a second corrupted
+// block exactly the lost cells must fall through to the result cache and
+// be recomputed. Finally, the pruned query path over the populated store
+// must return the same rows as the brute-force full scan while reading
+// fewer bytes.
 func CheckExpStoreTransparency(profiles []synth.Profile, instructions int, warmup uint64) error {
 	dir, err := os.MkdirTemp("", "tracerebase-expcheck-")
 	if err != nil {
@@ -46,9 +52,9 @@ func CheckExpStoreTransparency(profiles []synth.Profile, instructions int, warmu
 		experiments.RenderFig5(&buf, experiments.Fig5(res))
 		return buf.Bytes()
 	}
-	sweep := func(store *expstore.Store, misses *int) ([]byte, []experiments.TraceResult, error) {
+	sweep := func(store *expstore.Store, cache *experiments.ResultCache, misses *int) ([]byte, []experiments.TraceResult, error) {
 		cfg := baseCfg
-		cfg.Exp = store
+		cfg.Exp, cfg.Cache = store, cache
 		if misses != nil {
 			cfg.ExpMisses = func(n int) { *misses += n }
 		}
@@ -64,7 +70,7 @@ func CheckExpStoreTransparency(profiles []synth.Profile, instructions int, warmu
 		return expstore.Open(expstore.Config{Dir: dir, BlockCells: 4, Warn: warn})
 	}
 
-	want, wantRes, err := sweep(nil, nil)
+	want, wantRes, err := sweep(nil, nil, nil)
 	if err != nil {
 		return fmt.Errorf("store-off sweep: %w", err)
 	}
@@ -75,7 +81,7 @@ func CheckExpStoreTransparency(profiles []synth.Profile, instructions int, warmu
 		return err
 	}
 	misses := 0
-	coldOut, coldRes, err := sweep(cold, &misses)
+	coldOut, coldRes, err := sweep(cold, nil, &misses)
 	coldStats := cold.Stats()
 	cold.Close()
 	if err != nil {
@@ -102,7 +108,7 @@ func CheckExpStoreTransparency(profiles []synth.Profile, instructions int, warmu
 		return err
 	}
 	misses = 0
-	warmOut, warmRes, err := sweep(warm, &misses)
+	warmOut, warmRes, err := sweep(warm, nil, &misses)
 	warmStats := warm.Stats()
 	warm.Close()
 	if err != nil {
@@ -122,6 +128,41 @@ func CheckExpStoreTransparency(profiles []synth.Profile, instructions int, warmu
 			warmStats.DupSkipped, warmStats.BlocksWritten, jobs)
 	}
 
+	// With a result cache beside it, the filled store serves every cell
+	// before dispatch: the cache is never asked, so no cell is generated or
+	// simulated, and no cell is offered back to the store.
+	lookup, err := open(nil)
+	if err != nil {
+		return err
+	}
+	cache := experiments.NewResultCache(resultcache.NewMemory(0))
+	misses = 0
+	lookupOut, lookupRes, err := sweep(lookup, cache, &misses)
+	lookupStats, cacheStats := lookup.Stats(), cache.Stats()
+	lookup.Close()
+	cache.Close()
+	if err != nil {
+		return fmt.Errorf("lookup sweep: %w", err)
+	}
+	if !bytes.Equal(lookupOut, want) {
+		return fmt.Errorf("store-served sweep output differs from store-off output")
+	}
+	if !reflect.DeepEqual(lookupRes, wantRes) {
+		return fmt.Errorf("store-served sweep results differ structurally from store-off results")
+	}
+	if lookupStats.LookupHits != jobs || lookupStats.LookupMisses != 0 || misses != 0 {
+		return fmt.Errorf("lookup sweep: %d lookup hits, %d lookup misses, %d read-back misses, want %d, 0, 0",
+			lookupStats.LookupHits, lookupStats.LookupMisses, misses, jobs)
+	}
+	if lookupStats.Appends != 0 || lookupStats.BlocksWritten != 0 {
+		return fmt.Errorf("lookup sweep: %d cells offered, %d blocks written, want 0 and 0",
+			lookupStats.Appends, lookupStats.BlocksWritten)
+	}
+	if cacheStats.Hits != 0 || cacheStats.Misses != 0 || cacheStats.Computes != 0 {
+		return fmt.Errorf("lookup sweep: result cache saw %d hits, %d misses, %d computes, want none",
+			cacheStats.Hits, cacheStats.Misses, cacheStats.Computes)
+	}
+
 	// Corrupt one block mid-data (the byte just below the footer is always
 	// inside the last column's checksummed region) and re-run with a fresh
 	// Store. The damage must be caught by checksum, warned about, and the
@@ -137,7 +178,7 @@ func CheckExpStoreTransparency(profiles []synth.Profile, instructions int, warmu
 		return err
 	}
 	misses = 0
-	hurtOut, _, err := sweep(hurt, &misses)
+	hurtOut, _, err := sweep(hurt, nil, &misses)
 	hurtStats := hurt.Stats()
 	hurt.Close()
 	if err != nil {
@@ -163,7 +204,7 @@ func CheckExpStoreTransparency(profiles []synth.Profile, instructions int, warmu
 		return err
 	}
 	misses = 0
-	repairOut, _, err := sweep(repair, &misses)
+	repairOut, _, err := sweep(repair, nil, &misses)
 	repairStats := repair.Stats()
 	queryErr := checkQueryAgainstFullScan(repair)
 	repair.Close()
@@ -180,7 +221,52 @@ func CheckExpStoreTransparency(profiles []synth.Profile, instructions int, warmu
 		return fmt.Errorf("repair sweep: %d cells written, %d dups, want %d and %d",
 			repairStats.CellsWritten, repairStats.DupSkipped, lostCells, jobs-uint64(lostCells))
 	}
-	return queryErr
+	if queryErr != nil {
+		return queryErr
+	}
+
+	// Corrupt another block and look cells up again: the lookup drops the
+	// block, its cells miss the store and fall through to the result cache
+	// (empty, so they are recomputed), and they are appended again and read
+	// back, with the output unchanged.
+	_, lostCells, err = corruptOneBlock(dir)
+	if err != nil {
+		return err
+	}
+	var relookWarns warnLog
+	relook, err := open(relookWarns.warnf)
+	if err != nil {
+		return err
+	}
+	cache = experiments.NewResultCache(resultcache.NewMemory(0))
+	misses = 0
+	relookOut, _, err := sweep(relook, cache, &misses)
+	relookStats, cacheStats := relook.Stats(), cache.Stats()
+	relook.Close()
+	cache.Close()
+	if err != nil {
+		return fmt.Errorf("lookup sweep over corrupted block: %w", err)
+	}
+	if !bytes.Equal(relookOut, want) {
+		return fmt.Errorf("lookup sweep over corrupted block: output differs from store-off output")
+	}
+	lost := uint64(lostCells)
+	if relookStats.Corrupt != 1 || relookStats.LookupHits != jobs-lost || relookStats.LookupMisses != lost {
+		return fmt.Errorf("lookup sweep over corrupted block: %d corrupt, %d lookup hits, %d lookup misses, want 1, %d, %d",
+			relookStats.Corrupt, relookStats.LookupHits, relookStats.LookupMisses, jobs-lost, lost)
+	}
+	if cacheStats.Misses != lost || cacheStats.Computes != lost || cacheStats.Hits != 0 {
+		return fmt.Errorf("lookup sweep over corrupted block: result cache saw %d hits, %d misses, %d computes, want 0, %d, %d",
+			cacheStats.Hits, cacheStats.Misses, cacheStats.Computes, lost, lost)
+	}
+	if relookStats.CellsWritten != lost || misses != 0 {
+		return fmt.Errorf("lookup sweep over corrupted block: %d cells written, %d read-back misses, want %d and 0",
+			relookStats.CellsWritten, misses, lost)
+	}
+	if w := relookWarns.String(); !strings.Contains(w, "corrupt block") {
+		return fmt.Errorf("lookup sweep over corrupted block produced no pointed warning (got %q)", w)
+	}
+	return nil
 }
 
 // checkQueryAgainstFullScan asserts the block-pruned query path returns

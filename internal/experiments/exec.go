@@ -19,10 +19,11 @@ import (
 // their Results; the figure sweep (and so Table 2), Table 3 and the
 // front-end ablation all build cells and hand them to execute. It is
 // result-first: every cell's content address is derived once, every cell
-// is resolved against the result cache before any input work, and only
-// the misses go on to generation, conversion (or a slab), and simulation.
-// A fully warm run therefore touches neither the generator nor the slab
-// store.
+// is resolved against the experiment store and then the result cache
+// before any input work, and only the misses go on to generation,
+// conversion (or a slab), and simulation. A fully warm run therefore
+// reads one batch of store blocks and touches neither the result cache's
+// files, the generator, nor the slab store.
 
 // generateBatch synthesizes a trace's instructions. It is a variable so
 // tests can count generator calls.
@@ -49,6 +50,9 @@ type executed struct {
 	// neither a result cache nor an experiment store.
 	keys    []resultcache.Key
 	results []Result
+	// stored marks the cells the experiment store served in the lookup
+	// phase: their results already are store copies.
+	stored []bool
 	// errs holds each failed cell's error. A trace whose generation
 	// failed has it in genErrs, and its missed cells carry copies.
 	errs    []error
@@ -194,8 +198,12 @@ func forEach(n, par int, fn func(i int)) {
 // run in cell order, so a trace's cells finish together and at most about
 // Parallelism traces hold generated instructions at a time.
 //
-// The run has two phases. First every cell is looked up in the result
-// cache, and hits are recorded and done. Then only the misses run: a
+// The run has two phases. First every cell is looked up: in the
+// experiment store with one batched read, then the store's misses in the
+// result cache. Store hits are final (already recorded, never re-offered);
+// result-cache hits are recorded and done. Lookups happen only when the
+// caller asked for cached results (Cache != nil), so -no-cache runs
+// recompute every cell. Then only the misses run: a
 // trace is generated only if one of its cells missed, and each (trace,
 // options) class with a miss gets its records once — from the slab store
 // when there is one, mapped at the class's first cell and unmapped after
@@ -205,13 +213,14 @@ func forEach(n, par int, fn func(i int)) {
 // sweep variant) streams through its own converter, which keeps peak
 // memory at one batch per cell.
 //
-// Cache statistics count every cell once: a hit in the lookup phase, or
-// a miss and a compute when the cell runs.
+// Result-cache statistics count every cell the store did not serve once:
+// a hit in the lookup phase, or a miss and a compute when the cell runs.
 func (c *SweepConfig) execute(profiles []synth.Profile, cells []cell) *executed {
 	ex := &executed{
 		cells:   cells,
 		keys:    make([]resultcache.Key, len(cells)),
 		results: make([]Result, len(cells)),
+		stored:  make([]bool, len(cells)),
 		errs:    make([]error, len(cells)),
 		genErrs: make([]error, len(profiles)),
 	}
@@ -236,8 +245,23 @@ func (c *SweepConfig) execute(profiles []synth.Profile, cells []cell) *executed 
 	}
 
 	hit := make([]bool, len(cells))
+	if c.Cache != nil && c.Exp != nil {
+		// A failed lookup misses every cell; the store has already
+		// counted and warned about its cause.
+		found, _ := c.Exp.Lookup(ex.keys)
+		for i, key := range ex.keys {
+			if cell, ok := found[key]; ok {
+				hit[i], ex.stored[i] = true, true
+				ex.results[i] = cellResult(cell)
+				finish(cells[i].trace)
+			}
+		}
+	}
 	if c.Cache != nil {
 		forEach(len(cells), c.Parallelism, func(i int) {
+			if ex.stored[i] {
+				return
+			}
 			res, ok := c.Cache.Lookup(ex.keys[i])
 			if !ok {
 				return

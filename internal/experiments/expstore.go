@@ -11,10 +11,11 @@ import (
 
 // The experiment store records every cell a sweep computes (or serves from
 // the result cache) as one row of the columnar expstore, keyed by the same
-// content address the result cache uses. Appends are advisory: a store
-// write failure degrades to a warning — the sweep result is unaffected —
-// and duplicate keys are dropped by the store itself, so warm re-runs do
-// not grow it.
+// content address the result cache uses, and is the first place a cached
+// cell is served from (see execute). Appends are advisory: a store write
+// failure degrades to a warning — the sweep result is unaffected — and
+// duplicate keys are dropped by the store itself, so re-runs do not grow
+// it.
 
 // DefaultExpStoreDir resolves the experiment-store root relative to the
 // cache root: <cache>/exp.
@@ -69,20 +70,26 @@ func (c SweepConfig) CellKey(p synth.Profile, v Variant) (resultcache.Key, error
 	return cacheKey(&p, v.Opts, c.simConfigFor(v.Opts), c.Instructions, c.Warmup), nil
 }
 
+// cellResult is the Result a stored cell carries.
+func cellResult(cell expstore.Cell) Result {
+	return Result{IPC: cell.IPC, Sim: cell.Sim, Conv: cell.Conv}
+}
+
 // storeReadBack swaps the in-memory sweep results for their store-read
 // copies: after a sweep has appended (or deduped against) every cell, the
 // cells are fetched back by content key and replace the engine's own
 // values, making the figure pipeline the store's first consumer. Cells the
-// store cannot produce (an earlier write failure, a just-dropped corrupt
-// block) fall back to the in-memory result with a warning; the returned
-// count is the number of such misses, which the store-transparency oracle
-// pins to zero.
+// lookup phase served from the store already are store copies and are
+// skipped. Cells the store cannot produce (an earlier write failure, a
+// just-dropped corrupt block) fall back to the in-memory result with a
+// warning; the returned count is the number of such misses, which the
+// store-transparency oracle pins to zero.
 func storeReadBack(exp *expstore.Store, out []TraceResult, ex *executed) (int, error) {
 	keys := make([]expstore.Key, 0, len(ex.cells))
 	slots := make(map[expstore.Key][]int)
 	for i, key := range ex.keys {
-		if ex.errs[i] != nil {
-			continue // failed cell: nothing was appended for it
+		if ex.errs[i] != nil || ex.stored[i] {
+			continue // a failed cell appended nothing; a stored one is a store copy
 		}
 		if _, seen := slots[key]; !seen {
 			keys = append(keys, key)
@@ -100,7 +107,7 @@ func storeReadBack(exp *expstore.Store, out []TraceResult, ex *executed) (int, e
 			misses++
 			continue
 		}
-		res := Result{IPC: cell.IPC, Sim: cell.Sim, Conv: cell.Conv}
+		res := cellResult(cell)
 		for _, i := range is {
 			cl := ex.cells[i]
 			out[cl.trace].Results[cl.variant] = res

@@ -1,11 +1,15 @@
 package experiments
 
 import (
+	"bytes"
+	"path/filepath"
 	"reflect"
 	"testing"
 
 	"tracerebase/internal/expstore"
+	"tracerebase/internal/resultcache"
 	"tracerebase/internal/synth"
+	"tracerebase/internal/tracestore"
 )
 
 // TestSweepExpStoreTransparency is the engine-level transparency check: a
@@ -71,5 +75,96 @@ func TestSweepExpStoreTransparency(t *testing.T) {
 	}
 	if got, want := res.Rows[0].Values[1], plain[0].Results[VariantAll].IPC; got != want {
 		t.Fatalf("store IPC %v, sweep IPC %v", got, want)
+	}
+}
+
+// TestStoreServedTables: with a result cache and an experiment store, a
+// repeat run takes every cell of the sweep, Table 2 and Table 3 from the
+// store — no generation, no slab-store access, no result-cache lookup,
+// nothing offered back — and renders the text and the JSON report
+// byte-identically to the run that computed them. Table 3 was never read
+// back from the store before this path.
+func TestStoreServedTables(t *testing.T) {
+	profiles := []synth.Profile{
+		synth.PublicProfile(synth.ComputeInt, 2),
+		synth.PublicProfile(synth.Crypto, 1),
+		synth.PublicProfile(synth.Server, 3),
+	}
+	suite := synth.IPC1Suite()[:2]
+	cfg := testSweepConfig()
+	cfg.Variants = figureVariants(VariantNone, VariantBranch, VariantAll)
+	cells := uint64(len(profiles)*len(cfg.Variants) + len(suite)*2 + len(suite)*2*(1+len(Table3Prefetchers)))
+	dir := t.TempDir()
+
+	type run struct {
+		text, json []byte
+		exp        expstore.Stats
+		cache      resultcache.Stats
+		slabs      tracestore.Stats
+	}
+	do := func() run {
+		c := cfg
+		c.Cache = openCacheAt(t, filepath.Join(dir, "results"))
+		c.Slabs = testSlabStore(t, filepath.Join(dir, "slabs"))
+		store, err := expstore.Open(expstore.Config{Dir: filepath.Join(dir, "exp")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Exp = store
+		sweep, err := RunSweep(profiles, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t2, err := Table2(c, suite)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t3, err := Table3(c, suite)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var text, js bytes.Buffer
+		RenderFig1(&text, Fig1(sweep))
+		RenderTable2(&text, t2)
+		RenderTable3(&text, t3)
+		rep := NewJSONReport(c)
+		rep.FillFigures(sweep)
+		rep.Table2, rep.Table3 = &t2, &t3
+		if err := rep.Write(&js); err != nil {
+			t.Fatal(err)
+		}
+		// Close flushes Table 3's cells for the next run.
+		if err := store.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return run{text.Bytes(), js.Bytes(), store.Stats(), c.Cache.Stats(), c.Slabs.Stats()}
+	}
+
+	cold := do()
+	if s := cold.exp; s.LookupHits != 0 || s.LookupMisses != cells || s.CellsWritten != cells {
+		t.Fatalf("cold exp-store stats %+v, want %d lookup misses and cells written", s, cells)
+	}
+	if s := cold.cache; s.Misses != cells || s.Computes != cells {
+		t.Fatalf("cold cache stats %+v, want %d misses and computes", s, cells)
+	}
+	gens := countGenerations(t)
+	warm := do()
+	if !bytes.Equal(warm.text, cold.text) {
+		t.Fatalf("store-served tables differ from computed ones\nwarm:\n%s\ncold:\n%s", warm.text, cold.text)
+	}
+	if !bytes.Equal(warm.json, cold.json) {
+		t.Fatal("store-served JSON report differs from the computed one")
+	}
+	if n := gens.Load(); n != 0 {
+		t.Fatalf("warm run generated %d traces", n)
+	}
+	if warm.slabs != (tracestore.Stats{}) {
+		t.Fatalf("warm run touched the slab store: %+v", warm.slabs)
+	}
+	if s := warm.cache; s.Hits != 0 || s.Misses != 0 || s.Computes != 0 {
+		t.Fatalf("warm cache stats %+v, want no lookup", s)
+	}
+	if s := warm.exp; s.LookupHits != cells || s.LookupMisses != 0 || s.Appends != 0 || s.BlocksWritten != 0 {
+		t.Fatalf("warm exp-store stats %+v, want %d lookup hits and nothing offered or written", s, cells)
 	}
 }

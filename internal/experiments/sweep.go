@@ -127,9 +127,9 @@ type SweepConfig struct {
 	NoSkip bool
 	// Cache, when non-nil, serves (trace, variant, config) Results by
 	// content address instead of recomputing them: every cell is looked up
-	// before any input work, fully-cached traces are never generated,
-	// converted or read from the slab store, and every freshly computed
-	// Result is stored.
+	// before any input work — in Exp first, when there is one, then here —
+	// fully-cached traces are never generated, converted or read from the
+	// slab store, and every freshly computed Result is stored.
 	// Concurrent requests for the same key share one computation
 	// (single-flight). nil reproduces the uncached engine exactly.
 	Cache *ResultCache
@@ -169,6 +169,8 @@ type SweepConfig struct {
 	// the sweep assembles its results they are replaced by their
 	// store-read copies — the figure pipeline downstream consumes what the
 	// store serves, making the engine the query layer's first consumer.
+	// With Cache set too, the store is also the first lookup: cells it
+	// already holds are served from it before the result cache is asked.
 	// Appends and read-back degrade gracefully (a failed write or a
 	// dropped corrupt block falls back to the in-memory result), so nil
 	// and a broken store alike reproduce the plain engine exactly.
@@ -261,7 +263,8 @@ func RunTrace(p synth.Profile, cfg SweepConfig) (TraceResult, error) {
 
 // RunSweep simulates every profile under every variant through the cell
 // executor (see execute): every (trace, variant) cell is looked up in the
-// result cache first, and only traces with a missed cell are generated —
+// experiment store and the result cache first, and only traces with a
+// missed cell are generated —
 // once, by whichever worker gets there first — and converted, once per
 // converter-option class, with the class's records shared read-only across
 // its variant simulations. Sweep parallelism is trace×variant-wide rather

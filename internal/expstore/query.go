@@ -733,10 +733,30 @@ func (s *Store) ScanCells() ([]Cell, error) {
 	return out, nil
 }
 
+// Lookup is Cells counted as a cache lookup: each requested key (once per
+// occurrence) adds to Stats.LookupHits or Stats.LookupMisses. It is the
+// sweep executor's first lookup, made before any cell is dispatched; a
+// failed call counts every key as a miss.
+func (s *Store) Lookup(keys []Key) (map[Key]Cell, error) {
+	cells, err := s.Cells(keys)
+	hits := 0
+	for _, k := range keys {
+		if _, ok := cells[k]; ok {
+			hits++
+		}
+	}
+	s.mu.Lock()
+	s.stats.LookupHits += uint64(hits)
+	s.stats.LookupMisses += uint64(len(keys) - hits)
+	s.mu.Unlock()
+	return cells, err
+}
+
 // Cells fetches the given content keys, keep-first across blocks. Blocks
 // whose key-range statistics exclude every wanted key are skipped; a block
 // is fully decoded only if its key column actually contains one. This is
-// the figure pipeline's read-back path: after a sweep it rehydrates every
+// the figure pipeline's read path: before a sweep dispatches a cell it
+// looks the cell up here (Lookup), and after the sweep it rehydrates every
 // cell it just appended (or deduped against) from the store, making the
 // engine the query layer's first consumer.
 func (s *Store) Cells(keys []Key) (map[Key]Cell, error) {

@@ -55,6 +55,10 @@ type Stats struct {
 	// WriteErrors counts failed block writes. Appends degrade gracefully:
 	// the sweep result is still returned, the store just misses the cell.
 	WriteErrors uint64 `json:"write_errors"`
+	// LookupHits / LookupMisses count the keys Lookup was asked for that
+	// the store served / could not serve.
+	LookupHits   uint64 `json:"lookup_hits"`
+	LookupMisses uint64 `json:"lookup_misses"`
 }
 
 // blockRef is one on-disk block. Mappings are created lazily under

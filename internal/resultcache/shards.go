@@ -98,9 +98,13 @@ func OpenShards(dir, ext string, maxBytes int64) (*Shards, error) {
 func (s *Shards) Dir() string { return s.dir }
 
 // Path returns where the entry for key lives (or would live).
-func (s *Shards) Path(key Key) string {
+func (s *Shards) Path(key Key) string { return ShardPath(s.dir, s.ext, key) }
+
+// ShardPath returns where a Shards directory dir holding <hexkey>ext
+// entries keeps the entry for key, without opening or indexing it.
+func ShardPath(dir, ext string, key Key) string {
 	hexKey := key.String()
-	return filepath.Join(s.dir, hexKey[:2], hexKey+s.ext)
+	return filepath.Join(dir, hexKey[:2], hexKey+ext)
 }
 
 // Bytes returns the indexed footprint.

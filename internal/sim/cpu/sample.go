@@ -222,6 +222,7 @@ func (p *Pipeline) flushInflight() {
 	clear(p.grounded)
 	p.sqHead = 0
 	p.sqLen = 0
+	clear(p.sqCount[:])
 	p.stalled = false
 	for i := range p.regProducer {
 		p.regProducer[i] = noref

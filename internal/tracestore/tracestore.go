@@ -82,8 +82,15 @@ type flight struct {
 // it, later ones share that mapping, and the last Release unmaps it. All
 // methods are safe for concurrent use.
 type Store struct {
-	shards *resultcache.Shards // rooted at Config.Dir/v<FormatVersion>, entries *.slab
-	warn   func(string, ...any)
+	dir      string // Config.Dir/v<FormatVersion>, entries <hh>/<hexkey>.slab
+	maxBytes int64
+	warn     func(string, ...any)
+
+	// shards indexes dir. It is built by the first call that needs it
+	// (see index), so a run that maps no slab never walks the directory.
+	indexOnce sync.Once
+	shards    *resultcache.Shards
+	indexErr  error
 
 	// scratch recycles conversion buffers (grown to trace size after the
 	// first conversion) so steady-state misses allocate no slab memory.
@@ -98,9 +105,11 @@ type Store struct {
 	stats   Stats
 }
 
-// Open opens (creating if needed) the slab store rooted at cfg.Dir and
-// indexes the slabs already on disk. Leftover temp files from interrupted
-// writes are removed; files that do not look like slabs are ignored.
+// Open opens (creating if needed) the slab store rooted at cfg.Dir. The
+// slabs already on disk are indexed at first use, not here: Get,
+// GetOrConvert and DiskBytes build the index, which also removes leftover
+// temp files from interrupted writes; files that do not look like slabs
+// are ignored.
 func Open(cfg Config) (*Store, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("tracestore: empty store directory")
@@ -111,23 +120,37 @@ func Open(cfg Config) (*Store, error) {
 	if cfg.Warn == nil {
 		cfg.Warn = func(string, ...any) {}
 	}
-	shards, err := resultcache.OpenShards(filepath.Join(cfg.Dir, fmt.Sprintf("v%d", FormatVersion)), ".slab", cfg.MaxBytes)
-	if err != nil {
+	dir := filepath.Join(cfg.Dir, fmt.Sprintf("v%d", FormatVersion))
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("tracestore: %w", err)
 	}
 	return &Store{
-		shards:  shards,
-		warn:    cfg.Warn,
-		open:    make(map[Key]*Slab),
-		flights: make(map[Key]*flight),
+		dir:      dir,
+		maxBytes: cfg.MaxBytes,
+		warn:     cfg.Warn,
+		open:     make(map[Key]*Slab),
+		flights:  make(map[Key]*flight),
 	}, nil
 }
 
+// index returns the store's shard index, building it on the first call.
+// A failure is warned once, kept, and returned to every caller.
+func (s *Store) index() (*resultcache.Shards, error) {
+	s.indexOnce.Do(func() {
+		s.shards, s.indexErr = resultcache.OpenShards(s.dir, ".slab", s.maxBytes)
+		if s.indexErr != nil {
+			s.indexErr = fmt.Errorf("tracestore: %w", s.indexErr)
+			s.warn("%v", s.indexErr)
+		}
+	})
+	return s.shards, s.indexErr
+}
+
 // EntryPath returns where the slab for key lives (or would live) on disk.
-func (s *Store) EntryPath(key Key) string { return s.shards.Path(key) }
+func (s *Store) EntryPath(key Key) string { return resultcache.ShardPath(s.dir, ".slab", key) }
 
 // Dir returns the versioned store root.
-func (s *Store) Dir() string { return s.shards.Dir() }
+func (s *Store) Dir() string { return s.dir }
 
 // Stats returns a snapshot of the activity counters.
 func (s *Store) Stats() Stats {
@@ -136,8 +159,15 @@ func (s *Store) Stats() Stats {
 	return s.stats
 }
 
-// DiskBytes returns the indexed on-disk footprint.
-func (s *Store) DiskBytes() int64 { return s.shards.Bytes() }
+// DiskBytes returns the indexed on-disk footprint, building the index if
+// no call has yet; 0 if it cannot be built.
+func (s *Store) DiskBytes() int64 {
+	shards, err := s.index()
+	if err != nil {
+		return 0
+	}
+	return shards.Bytes()
+}
 
 func (s *Store) getScratch() []champtrace.Instruction {
 	if p, ok := s.scratch.Get().(*[]champtrace.Instruction); ok {
@@ -156,8 +186,15 @@ func (s *Store) putScratch(b []champtrace.Instruction) {
 
 // Get returns the slab for key if another caller holds it or it is valid
 // on disk, taking a reference the caller must Release. It never converts
-// and never joins an in-flight conversion.
+// and never joins an in-flight conversion. A store whose index cannot be
+// built counts every Get as a miss (index warns once).
 func (s *Store) Get(key Key) (*Slab, bool) {
+	if _, err := s.index(); err != nil {
+		s.mu.Lock()
+		s.stats.Misses++
+		s.mu.Unlock()
+		return nil, false
+	}
 	s.mu.Lock()
 	if sl, ok := s.open[key]; ok {
 		sl.refs++
@@ -180,8 +217,12 @@ func (s *Store) Get(key Key) (*Slab, bool) {
 // miss. Concurrent calls for the same key share one conversion
 // (single-flight); each successful return carries its own reference, which
 // the caller must Release. A failed conversion is returned to every waiter
-// and is not stored, so a later call retries.
+// and is not stored, so a later call retries; so is a failure to build the
+// store's index.
 func (s *Store) GetOrConvert(key Key, convert ConvertFunc) (*Slab, error) {
+	if _, err := s.index(); err != nil {
+		return nil, err
+	}
 	for {
 		s.mu.Lock()
 		if sl, ok := s.open[key]; ok {
@@ -256,7 +297,8 @@ func (s *Store) fill(key Key, convert ConvertFunc) (*Slab, error) {
 }
 
 // loadDisk maps and validates the slab file for key, installs it, and takes
-// a caller reference. It returns nil on miss.
+// a caller reference. It returns nil on miss. The caller has built the
+// index.
 // Corrupt files are removed so they are reconverted, never served; foreign
 // files (other format version or architecture) are left in place for the
 // native writer to atomically replace.
@@ -341,9 +383,9 @@ func (s *Store) install(sl *Slab) {
 	s.stats.PeakMappedBytes = max(s.stats.PeakMappedBytes, s.mapped)
 }
 
-// persist writes the slab file atomically (temp + rename), remaps it so
-// the served records are the shared read-only file pages, and recycles the
-// conversion scratch. On any write failure it degrades to serving the heap
+// persist writes the slab file atomically (temp + rename) through the
+// built index, remaps it so the served records are the shared read-only
+// file pages, and recycles the conversion scratch. On any write failure it degrades to serving the heap
 // slab directly: the run proceeds, the failure is counted and warned.
 func (s *Store) persist(key Key, recs []champtrace.Instruction, conv core.Stats) *Slab {
 	heapSlab := func() *Slab {

@@ -519,3 +519,52 @@ func TestScratchPoolRecycled(t *testing.T) {
 		t.Fatalf("conversion scratch never recycled through the pool")
 	}
 }
+
+// TestIndexAtFirstUse pins when the store indexes its directory: Open only
+// creates it, so a leftover temp file from an interrupted write survives
+// Open and goes at the first Get; DiskBytes, called first on a fresh
+// store, indexes the slabs already on disk.
+func TestIndexAtFirstUse(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, Config{Dir: dir})
+	for i := uint64(0); i < 3; i++ {
+		sl, err := s.GetOrConvert(testKey(100+i), converterFor(200+int(i), i, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sl.Release()
+	}
+	var footprint int64
+	filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err == nil && strings.HasSuffix(d.Name(), ".slab") {
+			info, _ := d.Info()
+			footprint += info.Size()
+		}
+		return nil
+	})
+	if footprint == 0 {
+		t.Fatal("no slab files written")
+	}
+	tmp := filepath.Join(filepath.Dir(s.EntryPath(testKey(100))), "tmp-interrupted")
+	if err := os.WriteFile(tmp, []byte("partial"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := mustOpen(t, Config{Dir: dir})
+	if _, err := os.Stat(tmp); err != nil {
+		t.Fatalf("Open indexed the store: the temp file is gone (%v)", err)
+	}
+	sl, ok := s2.Get(testKey(101))
+	if !ok {
+		t.Fatal("Get missed a slab on disk")
+	}
+	sl.Release()
+	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+		t.Fatalf("temp file survived the first Get (stat err %v)", err)
+	}
+
+	s3 := mustOpen(t, Config{Dir: dir})
+	if got := s3.DiskBytes(); got != footprint {
+		t.Fatalf("DiskBytes after Open = %d, want the on-disk footprint %d", got, footprint)
+	}
+}
