@@ -119,8 +119,9 @@ func TestCLIFrontEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 		var rec struct {
-			Cache    struct{ Misses uint64 }
-			ExpStore struct {
+			MaxRSSBytes int64 `json:"max_rss_bytes"`
+			Cache       struct{ Misses uint64 }
+			ExpStore    struct {
 				Appends      uint64 `json:"appends"`
 				CellsWritten uint64 `json:"cells_written"`
 				LookupHits   uint64 `json:"lookup_hits"`
@@ -144,13 +145,16 @@ func TestCLIFrontEnd(t *testing.T) {
 			t.Fatalf("bench-json: %d appends, %d cells written, %d cache misses; the store holds %d cells",
 				rec.ExpStore.Appends, rec.ExpStore.CellsWritten, rec.Cache.Misses, len(cells))
 		}
+		if rec.MaxRSSBytes <= 0 {
+			t.Fatalf("bench-json: max_rss_bytes %d, want the run's peak RSS", rec.MaxRSSBytes)
+		}
 		if rec.ExpStore.LookupHits != 0 || rec.ExpStore.LookupMisses != uint64(len(cells)) {
 			t.Fatalf("bench-json: %d exp-store lookup hits, %d misses on a cold run; want 0 and %d",
 				rec.ExpStore.LookupHits, rec.ExpStore.LookupMisses, len(cells))
 		}
 		requireBenchKeys(t, data, map[string][]string{
 			"": {"experiment", "step", "instructions", "warmup", "parallelism", "num_cpu", "goos", "goarch",
-				"go_version", "no_skip", "wall_seconds", "timestamp", "cache", "cache_tiers", "skip",
+				"go_version", "no_skip", "wall_seconds", "max_rss_bytes", "timestamp", "cache", "cache_tiers", "skip",
 				"trace_store", "exp_store"},
 			"cache": cacheKeys,
 			"trace_store": {"hits", "mem_hits", "disk_hits", "misses", "converts", "peak_mapped_bytes", "corrupt",

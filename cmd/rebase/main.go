@@ -386,6 +386,7 @@ type benchRecord struct {
 	GoVersion    string             `json:"go_version"`
 	NoSkip       bool               `json:"no_skip"`
 	WallSeconds  float64            `json:"wall_seconds"`
+	MaxRSSBytes  int64              `json:"max_rss_bytes"` // peak RSS so far (getrusage); 0 where unavailable
 	Timestamp    string             `json:"timestamp"`
 	Cache        *resultcache.Stats `json:"cache,omitempty"`
 	// CacheTiers breaks the result-cache backend down per tier (memory,
@@ -435,6 +436,7 @@ func writeBenchJSON(path, exp string, step int, cfg experiments.SweepConfig, ela
 		GoVersion:    runtime.Version(),
 		NoSkip:       cfg.NoSkip,
 		WallSeconds:  elapsed.Seconds(),
+		MaxRSSBytes:  maxRSSBytes(),
 		Timestamp:    time.Now().UTC().Format(time.RFC3339),
 		Skip:         skipCats,
 		Multi:        multi,

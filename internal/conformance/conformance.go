@@ -9,9 +9,9 @@
 // The subsystem has four layers:
 //
 //   - Differential oracles (differential.go): for any CVP-1 instruction
-//     slab, the scalar, batch, and streaming convert paths must agree
-//     record-for-record and stat-for-stat, and both binary codecs must
-//     round-trip (decode→encode→decode is a fixed point).
+//     slab, the scalar, batch, streaming and batched-emit convert paths
+//     must agree record-for-record and stat-for-stat, and both binary
+//     codecs must round-trip (decode→encode→decode is a fixed point).
 //   - Metamorphic checks (metamorphic.go): simulating the same trace twice
 //     yields identical statistics, a sweep is byte-identical under
 //     -parallel 1 and -parallel N, and IPC responds monotonically to
@@ -32,23 +32,39 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"time"
 )
 
 // Report accumulates check outcomes for human-readable selftest output.
 // The zero value is ready to use.
 type Report struct {
-	// Log, when non-nil, receives one line per completed check.
+	// Log, when non-nil, receives one line per completed check, ending in
+	// the wall time since the previous line: the check's own time, as the
+	// checks run one after another. The zero value's clock starts at its
+	// first line.
 	Log io.Writer
 
 	passed   int
 	failures []error
+	last     time.Time // when the previous line was logged
+}
+
+// lap returns the wall time since the previous line and restarts the clock.
+func (r *Report) lap() time.Duration {
+	now := time.Now()
+	if r.last.IsZero() {
+		r.last = now
+	}
+	d := now.Sub(r.last)
+	r.last = now
+	return d
 }
 
 // okf records a passing check.
 func (r *Report) okf(format string, args ...any) {
 	r.passed++
 	if r.Log != nil {
-		fmt.Fprintf(r.Log, "ok   %s\n", fmt.Sprintf(format, args...))
+		fmt.Fprintf(r.Log, "ok   %s (%.1f s)\n", fmt.Sprintf(format, args...), r.lap().Seconds())
 	}
 }
 
@@ -56,7 +72,7 @@ func (r *Report) okf(format string, args ...any) {
 func (r *Report) fail(err error) {
 	r.failures = append(r.failures, err)
 	if r.Log != nil {
-		fmt.Fprintf(r.Log, "FAIL %v\n", err)
+		fmt.Fprintf(r.Log, "FAIL %v (%.1f s)\n", err, r.lap().Seconds())
 	}
 }
 

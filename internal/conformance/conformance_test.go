@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -81,6 +82,12 @@ func TestSelfTestSmallSuite(t *testing.T) {
 	}
 	if !strings.Contains(log.String(), "all") {
 		t.Fatalf("selftest log lacks the summary line:\n%s", log.String())
+	}
+	timed := regexp.MustCompile(`^ok   .* \([0-9]+\.[0-9] s\)$`)
+	for _, line := range strings.Split(strings.TrimSpace(log.String()), "\n") {
+		if strings.HasPrefix(line, "ok ") && !timed.MatchString(line) {
+			t.Errorf("check line without its wall time: %q", line)
+		}
 	}
 }
 

@@ -127,9 +127,10 @@ func CheckChampRoundTrip(recs []champtrace.Instruction) error {
 }
 
 // CheckConvertPaths converts the slab under opts through every redundant
-// converter path — scalar Convert, ConvertAppend via ConvertAllBatch, and
-// the pooled streaming ConverterSource (both its Next and NextBatch faces) —
-// and requires record-for-record and stats-for-stats agreement.
+// converter path — scalar Convert, ConvertAppend via ConvertAllBatch, the
+// pooled streaming ConverterSource (both its Next and NextBatch faces), and
+// the batched-emit ConvertEmit that fills slab files — and requires
+// record-for-record and stats-for-stats agreement.
 func CheckConvertPaths(instrs []cvp.Instruction, opts core.Options) error {
 	scalar, scalarStats, err := core.ConvertAll(cvp.NewValuesSource(instrs), opts)
 	if err != nil {
@@ -195,6 +196,33 @@ func CheckConvertPaths(instrs []cvp.Instruction, opts core.Options) error {
 	}
 	if i != len(batch) {
 		return fmt.Errorf("ConverterSource.NextBatch yielded %d of %d records", i, len(batch))
+	}
+
+	// Batched emit, the slab store's write path.
+	i = 0
+	emitStats, err := core.ConvertEmit(cvp.NewValuesSource(instrs), opts, func(recs []champtrace.Instruction) error {
+		if len(recs) == 0 || len(recs) > core.EmitBatch {
+			return fmt.Errorf("emitted a batch of %d records", len(recs))
+		}
+		for _, rec := range recs {
+			if i >= len(batch) {
+				return fmt.Errorf("yielded more than %d records", len(batch))
+			}
+			if rec != batch[i] {
+				return fmt.Errorf("diverges from ConvertAppend at record %d", i)
+			}
+			i++
+		}
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("ConvertEmit: %w", err)
+	}
+	if i != len(batch) {
+		return fmt.Errorf("ConvertEmit yielded %d of %d records", i, len(batch))
+	}
+	if emitStats != batchStats {
+		return fmt.Errorf("ConvertEmit stats diverge:\n emit  %+v\n batch %+v", emitStats, batchStats)
 	}
 	return nil
 }

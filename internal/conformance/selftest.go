@@ -8,6 +8,7 @@ import (
 	"os"
 	"runtime"
 	"sync"
+	"time"
 
 	"tracerebase/internal/champtrace"
 	"tracerebase/internal/core"
@@ -23,7 +24,7 @@ type SelfTestConfig struct {
 	Suite []synth.Profile
 	// Instructions is the per-trace length of the differential battery
 	// (0 = 4000). The battery converts every trace under all ten variants
-	// through three redundant code paths, so this dominates runtime.
+	// through four redundant code paths, so this dominates runtime.
 	Instructions int
 	// SimInstructions is the per-trace length of the simulator-based
 	// metamorphic checks (0 = 2000).
@@ -67,7 +68,8 @@ func (c *SelfTestConfig) fill() {
 // only when every check passes.
 func SelfTest(cfg SelfTestConfig) error {
 	cfg.fill()
-	r := &Report{Log: cfg.Log}
+	start := time.Now()
+	r := &Report{Log: cfg.Log, last: start}
 
 	// 1. Golden corpus.
 	golden := cfg.GoldenFS
@@ -116,7 +118,7 @@ func SelfTest(cfg SelfTestConfig) error {
 		}
 	}
 	if failed == 0 {
-		r.okf("differential battery: %d traces x %d variants x 3 convert paths, %d instructions each",
+		r.okf("differential battery: %d traces x %d variants x 4 convert paths, %d instructions each",
 			len(cfg.Suite), len(experiments.Variants()), cfg.Instructions)
 	}
 
@@ -262,7 +264,7 @@ func SelfTest(cfg SelfTestConfig) error {
 		return err
 	}
 	if cfg.Log != nil {
-		fmt.Fprintf(cfg.Log, "selftest: all %d checks passed\n", r.Passed())
+		fmt.Fprintf(cfg.Log, "selftest: all %d checks passed in %.1f s\n", r.Passed(), time.Since(start).Seconds())
 	}
 	return nil
 }

@@ -417,10 +417,9 @@ func ConvertAllBatch(src cvp.Source, opts Options) ([]champtrace.Instruction, St
 }
 
 // ConvertAllInto is ConvertAllBatch appending into dst (rewound to length
-// zero), so callers recycling full-trace slabs — the trace store's
-// conversion scratch pool — pay no per-conversion slab allocation once the
-// scratch has grown to trace size. The returned slice shares dst's backing
-// array unless conversion outgrew it.
+// zero), so a caller recycling a full-trace slab pays no per-conversion
+// slab allocation once it has grown to trace size. The returned slice
+// shares dst's backing array unless conversion outgrew it.
 func ConvertAllInto(dst []champtrace.Instruction, src cvp.Source, opts Options) ([]champtrace.Instruction, Stats, error) {
 	c := New(opts)
 	out := dst[:0]
@@ -433,6 +432,39 @@ func ConvertAllInto(dst []champtrace.Instruction, src cvp.Source, opts Options) 
 			return out, c.Stats(), err
 		}
 		out = c.ConvertAppend(out, in)
+	}
+}
+
+// EmitBatch is the most records ConvertEmit hands to emit at once: 256 KiB
+// of records, enough that a file write per batch costs little.
+const EmitBatch = 4096
+
+// ConvertEmit converts src to completion, handing the records in order to
+// emit in batches of at most EmitBatch. The batch buffer is reused, so emit
+// must copy out what it keeps. An error from emit stops the conversion and
+// is returned unchanged; records converted since the last emit are then
+// dropped, as they are when src fails.
+func ConvertEmit(src cvp.Source, opts Options, emit func([]champtrace.Instruction) error) (Stats, error) {
+	c := New(opts)
+	buf := make([]champtrace.Instruction, 0, EmitBatch)
+	for {
+		in, err := src.Next()
+		if err == io.EOF {
+			if len(buf) > 0 {
+				return c.Stats(), emit(buf)
+			}
+			return c.Stats(), nil
+		}
+		if err != nil {
+			return c.Stats(), err
+		}
+		buf = c.ConvertAppend(buf, in)
+		if len(buf) > EmitBatch-2 { // no room for one more split instruction
+			if err := emit(buf); err != nil {
+				return c.Stats(), err
+			}
+			buf = buf[:0]
+		}
 	}
 }
 

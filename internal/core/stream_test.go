@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"io"
 	"math/rand"
 	"reflect"
@@ -126,5 +127,46 @@ func TestConvertAllBatchMatchesConvertAll(t *testing.T) {
 				t.Fatalf("%+v: record %d differs", opts, i)
 			}
 		}
+	}
+}
+
+// TestConvertEmit: the batched-emit converter hands over ConvertAllBatch's
+// records in order, in full batches of at most EmitBatch, and stops at the
+// first error emit returns.
+func TestConvertEmit(t *testing.T) {
+	instrs := testCVPStream(3*EmitBatch, 11)
+	for _, opts := range allOptionSets() {
+		want, wantStats, err := ConvertAllBatch(cvp.NewSliceSource(instrs), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []champtrace.Instruction
+		var sizes []int
+		gotStats, err := ConvertEmit(cvp.NewSliceSource(instrs), opts, func(batch []champtrace.Instruction) error {
+			sizes = append(sizes, len(batch))
+			got = append(got, batch...)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotStats != wantStats || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%+v: emitted records or stats differ from ConvertAllBatch", opts)
+		}
+		for i, n := range sizes {
+			if n == 0 || n > EmitBatch || i < len(sizes)-1 && n < EmitBatch-1 {
+				t.Fatalf("%+v: batch sizes %v", opts, sizes)
+			}
+		}
+	}
+
+	stop := errors.New("stop")
+	calls := 0
+	_, err := ConvertEmit(cvp.NewSliceSource(instrs), OptionsAll(), func([]champtrace.Instruction) error {
+		calls++
+		return stop
+	})
+	if err != stop || calls != 1 {
+		t.Fatalf("emit error: got %v after %d calls, want it returned after 1", err, calls)
 	}
 }

@@ -82,13 +82,25 @@ func (ex *executed) failures() []error {
 func (ex *executed) err() error { return errors.Join(ex.failures()...) }
 
 // traceInput is a trace's generated instructions: produced at most once,
-// by the first missed cell that needs them, and dropped when the trace's
-// last cell finishes.
+// by the first missed cell that needs them, and dropped as soon as no class
+// of the trace can read them again.
 type traceInput struct {
 	once   sync.Once
 	instrs []cvp.Instruction
 	err    error
-	left   atomic.Int32
+	// users counts the trace's classes that may still read instrs.
+	users atomic.Int32
+	// left counts the trace's cells still to finish, for Progress.
+	left atomic.Int32
+}
+
+// unuse gives up one class's claim on the instructions; the last claim
+// drops them. A slab or in-memory class gives its claim up once it has
+// its records, and a streaming class when its cell finishes.
+func (tr *traceInput) unuse() {
+	if tr.users.Add(-1) == 0 {
+		tr.instrs = nil
+	}
 }
 
 // classInput is the converted input of one (trace, converter-options)
@@ -97,6 +109,7 @@ type traceInput struct {
 // slab stays mapped only while its class has cells running.
 type classInput struct {
 	trace int
+	tr    *traceInput
 	opts  core.Options
 	// cells counts the class's missed cells; left counts those still
 	// running.
@@ -109,16 +122,17 @@ type classInput struct {
 	left  atomic.Int32
 }
 
-// release drops the class's records once its last cell has finished. The
-// once.Do is load-bearing even when it runs the no-op: a cell served by
-// another caller's computation never entered the initializer, and without
-// the Do it would read the slab unsynchronized with the goroutine that
-// acquired it.
+// release drops the class's records once its last cell has finished. A
+// class whose initializer never ran — a lone streaming cell, or cells all
+// served by another caller's computation — gives up its claim on the
+// trace's instructions here. The once.Do is load-bearing either way:
+// without it a cell served by another caller's computation would read the
+// slab unsynchronized with the goroutine that acquired it.
 func (in *classInput) release() {
 	if in.left.Add(-1) != 0 {
 		return
 	}
-	in.once.Do(func() {})
+	in.once.Do(in.tr.unuse)
 	if in.slab != nil {
 		in.slab.Release()
 		in.slab = nil
@@ -195,8 +209,10 @@ func forEach(n, par int, fn func(i int)) {
 
 // execute runs cells over profiles on the configured worker pool and
 // returns their Results. Cells should come in trace-major order: misses
-// run in cell order, so a trace's cells finish together and at most about
-// Parallelism traces hold generated instructions at a time.
+// run in cell order, so a trace's classes acquire their records together
+// and at most about Parallelism traces hold generated instructions at a
+// time. A trace's instructions are dropped once its last slab or
+// in-memory class has its records, or its last streaming cell finishes.
 //
 // The run has two phases. First every cell is looked up: in the
 // experiment store with one batched read, then the store's misses in the
@@ -233,13 +249,7 @@ func (c *SweepConfig) execute(profiles []synth.Profile, cells []cell) *executed 
 	}
 	var done atomic.Int32
 	finish := func(ti int) {
-		tr := &traces[ti]
-		if tr.left.Add(-1) != 0 {
-			return
-		}
-		tr.once.Do(func() {})
-		tr.instrs = nil
-		if c.Progress != nil {
+		if traces[ti].left.Add(-1) == 0 && c.Progress != nil {
 			c.Progress(int(done.Add(1)), len(profiles))
 		}
 	}
@@ -284,6 +294,10 @@ func (c *SweepConfig) execute(profiles []synth.Profile, cells []cell) *executed 
 	}
 
 	classOf, classes := converterClasses(cells, misses)
+	for _, in := range classes {
+		in.tr = &traces[in.trace]
+		in.tr.users.Add(1)
+	}
 	forEach(len(misses), c.Parallelism, func(k int) {
 		i := misses[k]
 		cl := &cells[i]
@@ -349,6 +363,7 @@ func (c *SweepConfig) input(p *synth.Profile, in *classInput, generate func() ([
 		}, nil
 	}
 	in.once.Do(func() {
+		defer in.tr.unuse()
 		if c.Slabs != nil {
 			// The store converts — and generates — only on its own miss.
 			// A slab's persisted converter statistics equal the streaming

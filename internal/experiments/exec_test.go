@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"tracerebase/internal/core"
 	"tracerebase/internal/cvp"
 	"tracerebase/internal/resultcache"
 	"tracerebase/internal/synth"
@@ -332,5 +333,42 @@ func BenchmarkResultDecode(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestTraceInputOutlivesItsClasses: without a slab store one run can hold,
+// for one trace, a class converted into memory (two cells) and a class
+// that streams (one cell). The in-memory class gives up its claim on the
+// trace's instructions once it has its records; the streaming cell, run
+// before or after it, must still find them, so every cell matches the same
+// cell run alone.
+func TestTraceInputOutlivesItsClasses(t *testing.T) {
+	profiles := []synth.Profile{synth.PublicProfile(synth.ComputeInt, 2)}
+	c := testSweepConfig()
+	c.Parallelism = 1
+	noSkip := DevelopConfigFor(core.OptionsNone())
+	noSkip.NoCycleSkip = true
+	shared1 := cell{opts: core.OptionsNone(), simCfg: DevelopConfigFor(core.OptionsNone()), variant: "shared1"}
+	shared2 := cell{opts: core.OptionsNone(), simCfg: noSkip, variant: "shared2"}
+	lone := cell{opts: core.OptionsAll(), simCfg: DevelopConfigFor(core.OptionsAll()), variant: "lone"}
+	alone := func(cl cell) Result {
+		ex := c.execute(profiles, []cell{cl})
+		if err := ex.err(); err != nil {
+			t.Fatal(err)
+		}
+		return ex.results[0]
+	}
+	want := map[string]Result{"shared1": alone(shared1), "shared2": alone(shared2), "lone": alone(lone)}
+	for _, cells := range [][]cell{{shared1, shared2, lone}, {lone, shared1, shared2}} {
+		ex := c.execute(profiles, cells)
+		if err := ex.err(); err != nil {
+			t.Fatal(err)
+		}
+		for i, cl := range cells {
+			if !reflect.DeepEqual(ex.results[i], want[cl.variant]) {
+				t.Fatalf("order %s/%s/%s: cell %s differs from its run alone",
+					cells[0].variant, cells[1].variant, cells[2].variant, cl.variant)
+			}
+		}
 	}
 }

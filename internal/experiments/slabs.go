@@ -50,16 +50,18 @@ func slabKey(p *synth.Profile, opts core.Options, instructions int) tracestore.K
 
 // acquireSlab returns a referenced slab for (p, opts, instructions),
 // converting — and, through generate, synthesizing — the trace only on a
-// store miss. generate is invoked at most once per actual conversion and
-// may itself be memoized by the caller; the returned instruction slab is
-// read-only during conversion. The caller must Release the slab.
+// store miss. The conversion streams its records into the slab file batch
+// by batch. generate may be invoked twice per actual conversion (the store
+// reconverts into memory after a failed write), so the caller memoizes it;
+// the returned instruction slab is read-only during conversion. The caller
+// must Release the slab.
 func acquireSlab(store *SlabStore, p *synth.Profile, opts core.Options, instructions int, generate func() ([]cvp.Instruction, error)) (*tracestore.Slab, error) {
-	return store.GetOrConvert(slabKey(p, opts, instructions),
-		func(scratch []champtrace.Instruction) ([]champtrace.Instruction, core.Stats, error) {
+	return store.GetOrStream(slabKey(p, opts, instructions),
+		func(emit func([]champtrace.Instruction) error) (core.Stats, error) {
 			instrs, err := generate()
 			if err != nil {
-				return scratch, core.Stats{}, err
+				return core.Stats{}, err
 			}
-			return core.ConvertAllInto(scratch, cvp.NewValuesSource(instrs), opts)
+			return core.ConvertEmit(cvp.NewValuesSource(instrs), opts, emit)
 		})
 }

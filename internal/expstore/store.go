@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -445,7 +444,7 @@ func (s *Store) writeBlockLocked(cells []Cell, bm blockMeta, seq, gen int, bumpS
 	if err != nil {
 		return nil, err
 	}
-	tmpPath, _, err := resultcache.WriteTemp(s.cfg.Dir, func(w io.Writer) error {
+	tmpPath, _, err := resultcache.WriteTemp(s.cfg.Dir, func(w *os.File) error {
 		_, err := w.Write(img)
 		return err
 	})

@@ -2,7 +2,6 @@ package resultcache
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"time"
@@ -87,7 +86,7 @@ func (d *Disk) Put(key Key, payload []byte) (err error) {
 	start := time.Now()
 	rec := encodeRecord(key, payload)
 	defer func() { d.metrics.observePut(start, err, len(rec)) }()
-	_, evicted, err := d.shards.Publish(key, func(w io.Writer) error {
+	_, evicted, err := d.shards.Publish(key, func(w *os.File) error {
 		_, err := w.Write(rec)
 		return err
 	})

@@ -1,7 +1,6 @@
 package resultcache
 
 import (
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -155,7 +154,7 @@ func (s *Shards) unindexLocked(key Key) {
 // byte bound, sparing the new one. It returns the bytes written and the
 // number of entries evicted. A failed write or rename leaves no temp file
 // and indexes nothing.
-func (s *Shards) Publish(key Key, write func(io.Writer) error) (written int64, evicted int, err error) {
+func (s *Shards) Publish(key Key, write func(f *os.File) error) (written int64, evicted int, err error) {
 	path := s.Path(key)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return 0, 0, err
@@ -201,16 +200,22 @@ func (s *Shards) Publish(key Key, write func(io.Writer) error) (written int64, e
 }
 
 // WriteTemp creates a tmp-* file in dir, fills it through write and closes
-// it, returning its path and size. On any failure the temp file is
-// removed. It is the one write path of every on-disk store: callers
-// publish the file under its final name by rename or link.
-func WriteTemp(dir string, write func(io.Writer) error) (path string, size int64, err error) {
+// it, returning its path and size. write gets the file itself, so it may
+// go back and patch bytes it wrote earlier (WriteAt). On any failure the
+// temp file is removed. It is the one write path of every on-disk store:
+// callers publish the file under its final name by rename or link.
+func WriteTemp(dir string, write func(f *os.File) error) (path string, size int64, err error) {
 	f, err := os.CreateTemp(dir, "tmp-*")
 	if err != nil {
 		return "", 0, err
 	}
-	cw := &countingWriter{w: f}
-	err = write(cw)
+	err = write(f)
+	if err == nil {
+		var info os.FileInfo
+		if info, err = f.Stat(); err == nil {
+			size = info.Size()
+		}
+	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -218,16 +223,5 @@ func WriteTemp(dir string, write func(io.Writer) error) (path string, size int64
 		_ = os.Remove(f.Name()) // the write's error is the one to report
 		return "", 0, err
 	}
-	return f.Name(), cw.n, nil
-}
-
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
+	return f.Name(), size, nil
 }

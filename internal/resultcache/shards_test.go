@@ -2,7 +2,6 @@ package resultcache
 
 import (
 	"errors"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -14,7 +13,7 @@ import (
 // entries evicted.
 func publishBytes(t *testing.T, s *Shards, key Key, n int) int {
 	t.Helper()
-	written, evicted, err := s.Publish(key, func(w io.Writer) error {
+	written, evicted, err := s.Publish(key, func(w *os.File) error {
 		_, err := w.Write(make([]byte, n))
 		return err
 	})
@@ -44,7 +43,7 @@ func TestShardsFailedWriteLeavesNothing(t *testing.T) {
 	}
 	key := NewHasher("shards").Str("failed").Sum()
 	boom := errors.New("boom")
-	n, evicted, err := s.Publish(key, func(w io.Writer) error {
+	n, evicted, err := s.Publish(key, func(w *os.File) error {
 		w.Write([]byte("partial"))
 		return boom
 	})

@@ -18,9 +18,9 @@ type Slab struct {
 
 	// data is the raw mapping backing recs; nil for heap slabs.
 	data []byte
-	// heap marks a slab whose records live on the Go heap (write-failure
-	// fallback, or the non-mmap platform path for disk loads). Freeing a
-	// heap slab recycles the records into the store's scratch pool.
+	// heap marks a slab whose records live on the Go heap: the store
+	// failed to write or map its file and converted it a second time,
+	// into memory. Nothing recycles them; the last Release drops them.
 	heap bool
 
 	// The fields below are guarded by store.mu.
@@ -73,8 +73,6 @@ func (s *Slab) free() {
 	if s.data != nil {
 		unmapFile(s.data)
 		s.data = nil
-	} else if s.heap {
-		s.store.putScratch(s.recs)
 	}
 	s.recs = nil
 }

@@ -1,7 +1,6 @@
 package tracestore
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"os"
@@ -46,8 +45,9 @@ type Stats struct {
 	DiskHits uint64 `json:"disk_hits"`
 	// SharedWaits counts single-flight joins on an in-progress conversion.
 	SharedWaits uint64 `json:"shared_waits"`
-	// Converts counts invocations of the caller's convert function;
-	// ConvertErrors counts the ones that failed (never stored).
+	// Converts counts the misses that ran the caller's convert function
+	// (a write failure runs it again, into memory, without counting it
+	// twice); ConvertErrors counts the ones that failed (never stored).
 	Converts      uint64 `json:"converts"`
 	ConvertErrors uint64 `json:"convert_errors"`
 	// Corrupt counts slab files that failed validation and were discarded;
@@ -55,8 +55,9 @@ type Stats struct {
 	Corrupt uint64 `json:"corrupt"`
 	// Evictions counts slab files removed by the disk LRU bound.
 	Evictions uint64 `json:"evictions"`
-	// WriteErrors counts persist failures; the converted slab is still
-	// served from the heap, so a read-only store degrades gracefully.
+	// WriteErrors counts persist failures; the slab is still served,
+	// converted a second time into memory, so a read-only store degrades
+	// gracefully.
 	WriteErrors uint64 `json:"write_errors"`
 	// BytesMapped counts slab file bytes mapped from disk; BytesWritten
 	// counts slab file bytes persisted.
@@ -67,10 +68,25 @@ type Stats struct {
 	PeakMappedBytes uint64 `json:"peak_mapped_bytes"`
 }
 
-// ConvertFunc builds the records for a slab on a store miss. scratch is a
-// recycled buffer (possibly nil) to append into via core.ConvertAllInto;
-// the returned slice may alias it or outgrow it.
+// StreamFunc converts a slab's records on a store miss, handing them in
+// order to emit in batches of any size; core.ConvertEmit is one. emit has
+// copied a batch out when it returns, so the converter may reuse it. An
+// error from emit must stop the conversion and be returned unchanged. The
+// store runs a StreamFunc a second time, into memory, when its write
+// fails, so both runs must yield the same records.
+type StreamFunc func(emit func([]champtrace.Instruction) error) (core.Stats, error)
+
+// ConvertFunc builds a slab's records in one slice, for GetOrConvert. The
+// store keeps no conversion buffer, so scratch is always nil; the
+// parameter keeps existing callers compiling.
 type ConvertFunc func(scratch []champtrace.Instruction) ([]champtrace.Instruction, core.Stats, error)
+
+// tempFile is what a slab write needs of its temp file: sequential writes,
+// and one write back at offset 0 for the header.
+type tempFile interface {
+	io.Writer
+	io.WriterAt
+}
 
 type flight struct {
 	done chan struct{}
@@ -92,11 +108,9 @@ type Store struct {
 	shards    *resultcache.Shards
 	indexErr  error
 
-	// scratch recycles conversion buffers (grown to trace size after the
-	// first conversion) so steady-state misses allocate no slab memory.
-	scratch sync.Pool // of *[]champtrace.Instruction
-	// bufw recycles the persist path's write buffer across slabs.
-	bufw sync.Pool // of *bufio.Writer
+	// wrapTemp, when set, wraps the temp file each slab is written into.
+	// It is the test seam for write failures: production leaves it nil.
+	wrapTemp func(tempFile) tempFile
 
 	mu      sync.Mutex
 	open    map[Key]*Slab // referenced slabs
@@ -107,9 +121,9 @@ type Store struct {
 
 // Open opens (creating if needed) the slab store rooted at cfg.Dir. The
 // slabs already on disk are indexed at first use, not here: Get,
-// GetOrConvert and DiskBytes build the index, which also removes leftover
-// temp files from interrupted writes; files that do not look like slabs
-// are ignored.
+// GetOrStream (or GetOrConvert) and DiskBytes build the index, which also
+// removes leftover temp files from interrupted writes; files that do not
+// look like slabs are ignored.
 func Open(cfg Config) (*Store, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("tracestore: empty store directory")
@@ -169,21 +183,6 @@ func (s *Store) DiskBytes() int64 {
 	return shards.Bytes()
 }
 
-func (s *Store) getScratch() []champtrace.Instruction {
-	if p, ok := s.scratch.Get().(*[]champtrace.Instruction); ok {
-		return (*p)[:0]
-	}
-	return nil
-}
-
-func (s *Store) putScratch(b []champtrace.Instruction) {
-	if cap(b) == 0 {
-		return
-	}
-	b = b[:0]
-	s.scratch.Put(&b)
-}
-
 // Get returns the slab for key if another caller holds it or it is valid
 // on disk, taking a reference the caller must Release. It never converts
 // and never joins an in-flight conversion. A store whose index cannot be
@@ -213,13 +212,25 @@ func (s *Store) Get(key Key) (*Slab, bool) {
 	return nil, false
 }
 
-// GetOrConvert returns the slab for key, converting and persisting it on a
+// GetOrConvert is GetOrStream for a converter that returns the whole
+// record slice: the slice is written as one batch.
+func (s *Store) GetOrConvert(key Key, convert ConvertFunc) (*Slab, error) {
+	return s.GetOrStream(key, func(emit func([]champtrace.Instruction) error) (core.Stats, error) {
+		recs, conv, err := convert(nil)
+		if err != nil {
+			return conv, err
+		}
+		return conv, emit(recs)
+	})
+}
+
+// GetOrStream returns the slab for key, converting and persisting it on a
 // miss. Concurrent calls for the same key share one conversion
 // (single-flight); each successful return carries its own reference, which
 // the caller must Release. A failed conversion is returned to every waiter
 // and is not stored, so a later call retries; so is a failure to build the
 // store's index.
-func (s *Store) GetOrConvert(key Key, convert ConvertFunc) (*Slab, error) {
+func (s *Store) GetOrStream(key Key, convert StreamFunc) (*Slab, error) {
 	if _, err := s.index(); err != nil {
 		return nil, err
 	}
@@ -263,7 +274,7 @@ func (s *Store) GetOrConvert(key Key, convert ConvertFunc) (*Slab, error) {
 
 // fill resolves a leader's lookup: disk, then convert+persist. The
 // returned slab carries the leader's reference and has been installed.
-func (s *Store) fill(key Key, convert ConvertFunc) (*Slab, error) {
+func (s *Store) fill(key Key, convert StreamFunc) (*Slab, error) {
 	if sl := s.loadDisk(key); sl != nil {
 		return sl, nil
 	}
@@ -272,16 +283,13 @@ func (s *Store) fill(key Key, convert ConvertFunc) (*Slab, error) {
 	s.stats.Misses++
 	s.stats.Converts++
 	s.mu.Unlock()
-	recs, conv, err := convert(s.getScratch())
+	sl, err := s.persist(key, convert)
 	if err != nil {
-		s.putScratch(recs)
 		s.mu.Lock()
 		s.stats.ConvertErrors++
 		s.mu.Unlock()
 		return nil, err
 	}
-
-	sl := s.persist(key, recs, conv)
 	s.mu.Lock()
 	if prior, ok := s.open[key]; ok {
 		// A concurrent Get mapped the just-persisted file before we
@@ -357,7 +365,7 @@ func (s *Store) loadDisk(key Key) *Slab {
 	s.shards.Hit(key, size)
 	s.mu.Lock()
 	if prior, ok := s.open[key]; ok {
-		// Lost a race with another loader (Get vs GetOrConvert): share the
+		// Lost a race with another loader (Get vs GetOrStream): share the
 		// installed mapping, drop ours.
 		prior.refs++
 		s.stats.Hits++
@@ -383,85 +391,112 @@ func (s *Store) install(sl *Slab) {
 	s.stats.PeakMappedBytes = max(s.stats.PeakMappedBytes, s.mapped)
 }
 
-// persist writes the slab file atomically (temp + rename) through the
-// built index, remaps it so the served records are the shared read-only
-// file pages, and recycles the conversion scratch. On any write failure it degrades to serving the heap
-// slab directly: the run proceeds, the failure is counted and warned.
-func (s *Store) persist(key Key, recs []champtrace.Instruction, conv core.Stats) *Slab {
-	heapSlab := func() *Slab {
-		return &Slab{store: s, key: key, conv: conv, recs: recs, heap: true}
-	}
-	meta, err := encodeMeta(conv)
-	if err != nil {
-		return s.persistFailed(heapSlab, err)
-	}
-	h := header{count: len(recs), metaLen: len(meta), key: key}
-	body := recordBytes(recs)
-	size, evicted, err := s.shards.Publish(key, func(f io.Writer) error {
-		w, _ := s.bufw.Get().(*bufio.Writer)
-		if w == nil {
-			w = bufio.NewWriterSize(io.Discard, 1<<20)
+// persist converts the slab for key straight into a temp file as convert
+// emits it, publishes the file through the built index (rename, so the
+// slab appears whole or not at all) and maps it: the served records are
+// the shared read-only file pages, and the conversion never holds the
+// whole record array. The file is written front to back — a zero header
+// page, the records and meta under a running data CRC, the footer — and
+// the real header last, at offset 0, since it carries the record count.
+// A conversion error is returned with nothing left on disk. A failure of
+// any write step, the rename included, is warned and counted, and the slab
+// is served from a second conversion into memory.
+func (s *Store) persist(key Key, convert StreamFunc) (*Slab, error) {
+	var conv core.Stats
+	var count int
+	var convErr error
+	size, evicted, err := s.shards.Publish(key, func(f *os.File) error {
+		var w tempFile = f
+		if s.wrapTemp != nil {
+			w = s.wrapTemp(f)
 		}
-		w.Reset(f)
-		defer func() {
-			w.Reset(io.Discard) // drop the file reference before pooling
-			s.bufw.Put(w)
-		}()
-		if _, err := w.Write(encodeHeader(h)); err != nil {
+		if _, err := w.Write(make([]byte, headerSize)); err != nil {
 			return err
 		}
-		if _, err := w.Write(body); err != nil {
+		var crc uint32
+		var writeErr error
+		conv, convErr = convert(func(batch []champtrace.Instruction) error {
+			if writeErr != nil {
+				return writeErr
+			}
+			b := recordBytes(batch)
+			if _, writeErr = w.Write(b); writeErr != nil {
+				return writeErr
+			}
+			crc = frame.Update(crc, b)
+			count += len(batch)
+			return nil
+		})
+		if writeErr != nil {
+			convErr = nil // the write failed, not the conversion
+			return writeErr
+		}
+		if convErr != nil {
+			return convErr
+		}
+		meta, err := encodeMeta(conv)
+		if err != nil {
 			return err
 		}
 		if _, err := w.Write(meta); err != nil {
 			return err
 		}
-		crc := frame.Update(frame.Update(0, body), meta)
-		if _, err := w.Write(encodeFooter(crc)); err != nil {
+		if _, err := w.Write(encodeFooter(frame.Update(crc, meta))); err != nil {
 			return err
 		}
-		return w.Flush()
+		_, err = w.WriteAt(encodeHeader(header{count: count, metaLen: len(meta), key: key}), 0)
+		return err
 	})
+	if convErr != nil {
+		return nil, convErr
+	}
 	if err != nil {
-		return s.persistFailed(heapSlab, err)
+		s.warn("tracestore: slab write failed (serving from memory): %v", err)
+		s.mu.Lock()
+		s.stats.WriteErrors++
+		s.mu.Unlock()
+		return s.convertHeap(key, convert)
 	}
 	s.mu.Lock()
 	s.stats.BytesWritten += uint64(size)
 	s.stats.Evictions += uint64(evicted)
 	s.mu.Unlock()
 
-	// Serve the file mapping, not the heap copy, so the scratch returns to
-	// the pool and every consumer of this slab — including other processes
-	// — shares one set of page-cache pages.
+	// Serve the file mapping, so every consumer of this slab — including
+	// other processes — shares one set of page-cache pages.
 	f, err := os.Open(s.EntryPath(key))
 	if err != nil {
-		return heapSlab() // evicted already?; serve from heap, no warning needed
+		return s.convertHeap(key, convert) // evicted already?; no warning needed
 	}
 	data, err := mapFile(f, size)
 	f.Close()
 	if err != nil {
-		return heapSlab()
-	}
-	sl := &Slab{
-		store: s,
-		key:   key,
-		conv:  conv,
-		recs:  viewRecords(data, h.count),
-		data:  data,
+		return s.convertHeap(key, convert)
 	}
 	s.mu.Lock()
 	s.stats.BytesMapped += uint64(size)
 	s.mu.Unlock()
-	s.putScratch(recs)
-	return sl
+	return &Slab{
+		store: s,
+		key:   key,
+		conv:  conv,
+		recs:  viewRecords(data, count),
+		data:  data,
+	}, nil
 }
 
-func (s *Store) persistFailed(heapSlab func() *Slab, err error) *Slab {
-	s.warn("tracestore: slab write failed (serving from memory): %v", err)
-	s.mu.Lock()
-	s.stats.WriteErrors++
-	s.mu.Unlock()
-	return heapSlab()
+// convertHeap runs convert again, into memory, for a slab the store could
+// not write or map.
+func (s *Store) convertHeap(key Key, convert StreamFunc) (*Slab, error) {
+	var recs []champtrace.Instruction
+	conv, err := convert(func(batch []champtrace.Instruction) error {
+		recs = append(recs, batch...)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &Slab{store: s, key: key, conv: conv, recs: recs, heap: true}, nil
 }
 
 // Close exists for symmetry with the other stores: the store keeps no

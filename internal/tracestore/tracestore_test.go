@@ -2,10 +2,12 @@ package tracestore
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -25,15 +27,44 @@ func testKey(n uint64) Key {
 func testRecords(n int, salt uint64) []champtrace.Instruction {
 	recs := make([]champtrace.Instruction, n)
 	for i := range recs {
-		recs[i] = champtrace.Instruction{
-			IP:       0x400000 + uint64(i)*4 + salt,
-			IsBranch: i%7 == 0,
-			Taken:    i%14 == 0,
-			SrcRegs:  [champtrace.NumSrcRegs]uint8{1, 2},
-			SrcMem:   [champtrace.NumSrcMem]uint64{uint64(i) * 64},
-		}
+		recs[i] = testRecord(i, salt)
 	}
 	return recs
+}
+
+// testRecord is record i of testRecords(_, salt).
+func testRecord(i int, salt uint64) champtrace.Instruction {
+	return champtrace.Instruction{
+		IP:       0x400000 + uint64(i)*4 + salt,
+		IsBranch: i%7 == 0,
+		Taken:    i%14 == 0,
+		SrcRegs:  [champtrace.NumSrcRegs]uint8{1, 2},
+		SrcMem:   [champtrace.NumSrcMem]uint64{uint64(i) * 64},
+	}
+}
+
+// streamerFor emits testRecords(n, salt) in batches of batch records from
+// one reused buffer, as core.ConvertEmit does. It fails with fail, when
+// set, after emitting failAfter batches.
+func streamerFor(n, batch int, salt uint64, failAfter int, fail error) StreamFunc {
+	return func(emit func([]champtrace.Instruction) error) (core.Stats, error) {
+		buf := make([]champtrace.Instruction, 0, batch)
+		emitted := 0
+		for i := 0; i < n; i++ {
+			buf = append(buf, testRecord(i, salt))
+			if len(buf) == batch || i == n-1 {
+				if fail != nil && emitted == failAfter {
+					return core.Stats{}, fail
+				}
+				if err := emit(buf); err != nil {
+					return core.Stats{}, err
+				}
+				emitted++
+				buf = buf[:0]
+			}
+		}
+		return testConv(n), nil
+	}
 }
 
 func testConv(n int) core.Stats {
@@ -500,23 +531,191 @@ func TestWriteFailureDegradesToHeap(t *testing.T) {
 	}
 }
 
-func TestScratchPoolRecycled(t *testing.T) {
+// TestPersistStreamsRecords pins that a miss streams its records into the
+// slab file: persisting a 100k-record slab (6.4 MB of records) from a
+// converter that reuses one batch buffer allocates less than an eighth of
+// the record bytes, so the store never builds the record array.
+func TestPersistStreamsRecords(t *testing.T) {
+	const n = 100_000
 	s := mustOpen(t, Config{Dir: t.TempDir()})
-	var sawScratch bool
-	for i := uint64(0); i < 3; i++ {
-		sl, err := s.GetOrConvert(testKey(50+i), func(scratch []champtrace.Instruction) ([]champtrace.Instruction, core.Stats, error) {
-			if cap(scratch) > 0 {
-				sawScratch = true
-			}
-			return append(scratch[:0], testRecords(200, i)...), testConv(200), nil
-		})
-		if err != nil {
-			t.Fatalf("slab %d: %v", i, err)
-		}
-		sl.Release()
+	if _, err := s.index(); err != nil { // built outside the measurement
+		t.Fatal(err)
 	}
-	if !sawScratch {
-		t.Fatalf("conversion scratch never recycled through the pool")
+	convert := streamerFor(n, 4096, 60, 0, nil)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sl, err := s.GetOrStream(testKey(60), convert)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sl.Release()
+	if sl.data == nil || sl.Len() != n {
+		t.Fatalf("slab not served from its file (heap %v, %d records)", sl.heap, sl.Len())
+	}
+	for i, rec := range sl.Records() {
+		if rec != testRecord(i, 60) {
+			t.Fatalf("record %d differs", i)
+		}
+	}
+	recordBytes := uint64(n * recordSize)
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("persisting %d record bytes allocated %d bytes", recordBytes, alloc)
+	if alloc >= recordBytes/8 {
+		t.Fatalf("persisting %d record bytes allocated %d bytes; want < %d", recordBytes, alloc, recordBytes/8)
+	}
+}
+
+var errInjected = errors.New("injected write failure")
+
+// faultyTemp is a tempFile that fails one step of a slab write: the Write
+// numbered failWrite (0 is the placeholder header), or the header WriteAt
+// when failAt is set. A failing Write writes half its bytes first, as a
+// full disk would. beforeAt, when set, runs at the header WriteAt.
+type faultyTemp struct {
+	tempFile
+	writes    int
+	failWrite int
+	failAt    bool
+	beforeAt  func()
+}
+
+func (f *faultyTemp) Write(p []byte) (int, error) {
+	f.writes++
+	if f.writes-1 == f.failWrite {
+		n, _ := f.tempFile.Write(p[:len(p)/2])
+		return n, errInjected
+	}
+	return f.tempFile.Write(p)
+}
+
+func (f *faultyTemp) WriteAt(p []byte, off int64) (int, error) {
+	if f.beforeAt != nil {
+		f.beforeAt()
+	}
+	if f.failAt {
+		return 0, errInjected
+	}
+	return f.tempFile.WriteAt(p, off)
+}
+
+// storeFiles lists the files under dir: temp files, slabs, anything.
+func storeFiles(dir string) []string {
+	var out []string
+	filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			out = append(out, path)
+		}
+		return nil
+	})
+	return out
+}
+
+// TestWriteFailureEveryStage fails each step of a slab write in turn,
+// without relying on file permissions (which root ignores). Every failure
+// must serve the slab from memory exactly as a clean conversion would,
+// warn once, count one write error, and leave no temp file; the same store
+// must then persist the slab, which a later lookup maps from disk.
+func TestWriteFailureEveryStage(t *testing.T) {
+	const n, batch = 300, 100 // writes: header page, 3 batches, meta, footer
+	want := testRecords(n, 70)
+	cases := []struct {
+		name string
+		fail func(t *testing.T, s *Store, key Key) *faultyTemp
+	}{
+		{"placeholder header", func(*testing.T, *Store, Key) *faultyTemp { return &faultyTemp{failWrite: 0} }},
+		{"second record batch", func(*testing.T, *Store, Key) *faultyTemp { return &faultyTemp{failWrite: 2} }},
+		{"meta", func(*testing.T, *Store, Key) *faultyTemp { return &faultyTemp{failWrite: 4} }},
+		{"footer", func(*testing.T, *Store, Key) *faultyTemp { return &faultyTemp{failWrite: 5} }},
+		{"header", func(*testing.T, *Store, Key) *faultyTemp { return &faultyTemp{failWrite: -1, failAt: true} }},
+		{"rename", func(t *testing.T, s *Store, key Key) *faultyTemp {
+			// A non-empty directory in the slab's place makes the rename
+			// fail; it appears after the leader's disk lookup.
+			return &faultyTemp{failWrite: -1, beforeAt: func() {
+				if err := os.MkdirAll(filepath.Join(s.EntryPath(key), "blocker"), 0o755); err != nil {
+					t.Error(err)
+				}
+			}}
+		}},
+	}
+	for i, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s := mustOpen(t, Config{Dir: dir})
+			key := testKey(70 + uint64(i))
+			var warned []string
+			s.warn = func(f string, a ...any) { warned = append(warned, fmt.Sprintf(f, a...)) }
+			s.wrapTemp = func(f tempFile) tempFile {
+				ft := tc.fail(t, s, key)
+				ft.tempFile = f
+				return ft
+			}
+			sl, err := s.GetOrStream(key, streamerFor(n, batch, 70, 0, nil))
+			if err != nil {
+				t.Fatalf("GetOrStream must degrade, got error: %v", err)
+			}
+			if !sl.heap || sl.data != nil {
+				t.Fatalf("want a heap slab after the failed write")
+			}
+			if !reflect.DeepEqual(sl.Records(), want) || !reflect.DeepEqual(sl.Conv(), testConv(n)) {
+				t.Fatalf("heap slab differs from a clean conversion")
+			}
+			sl.Release()
+			if st := s.Stats(); st.WriteErrors != 1 || st.Converts != 1 || st.ConvertErrors != 0 || st.BytesWritten != 0 {
+				t.Fatalf("stats: %+v", st)
+			}
+			if len(warned) != 1 || !strings.Contains(warned[0], "slab write failed") {
+				t.Fatalf("want one write-failure warning, got %q", warned)
+			}
+			if files := storeFiles(dir); len(files) != 0 {
+				t.Fatalf("files left behind: %v", files)
+			}
+
+			// Healthy again: the next miss persists the slab, and a later
+			// lookup maps it from disk.
+			s.wrapTemp = nil
+			if err := os.RemoveAll(s.EntryPath(key)); err != nil {
+				t.Fatal(err)
+			}
+			sl, err = s.GetOrConvert(key, converterFor(n, 70, nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sl.data == nil {
+				t.Fatalf("healthy store served the slab from memory")
+			}
+			sl.Release()
+			sl, ok := s.Get(key)
+			if !ok {
+				t.Fatalf("persisted slab not found")
+			}
+			defer sl.Release()
+			if st := s.Stats(); st.DiskHits != 1 || st.WriteErrors != 1 {
+				t.Fatalf("stats after the healthy write: %+v", st)
+			}
+			if !reflect.DeepEqual(sl.Records(), want) || sl.Conv() != testConv(n) {
+				t.Fatalf("persisted slab differs from a clean conversion")
+			}
+		})
+	}
+}
+
+// TestConvertErrorAfterEmittedBatches: a conversion that fails after some
+// of its records reached the temp file returns its error, counts one
+// conversion error, and leaves nothing on disk.
+func TestConvertErrorAfterEmittedBatches(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, Config{Dir: dir})
+	boom := errors.New("converter exploded mid-trace")
+	_, err := s.GetOrStream(testKey(80), streamerFor(300, 100, 80, 2, boom))
+	if !errors.Is(err, boom) {
+		t.Fatalf("want the conversion error, got %v", err)
+	}
+	if st := s.Stats(); st.ConvertErrors != 1 || st.WriteErrors != 0 || st.BytesWritten != 0 {
+		t.Fatalf("stats: %+v", st)
+	}
+	if files := storeFiles(dir); len(files) != 0 {
+		t.Fatalf("files left behind: %v", files)
 	}
 }
 
