@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"sync"
@@ -81,9 +82,10 @@ func (ex *executed) failures() []error {
 // err joins the run's failures.
 func (ex *executed) err() error { return errors.Join(ex.failures()...) }
 
-// traceInput is a trace's generated instructions: produced at most once,
-// by the first missed cell that needs them, and dropped as soon as no class
-// of the trace can read them again.
+// traceInput is a trace's input: its generated instructions, produced at
+// most once, by the first missed cell that needs them, and dropped as soon
+// as no class of the trace can read them again. With a slab store only the
+// fallback generates them: the trace's slabs come from one streamed pass.
 type traceInput struct {
 	once   sync.Once
 	instrs []cvp.Instruction
@@ -92,6 +94,13 @@ type traceInput struct {
 	users atomic.Int32
 	// left counts the trace's cells still to finish, for Progress.
 	left atomic.Int32
+	// classes are the trace's classes with a missed cell. With a slab
+	// store, the first of them to acquire its records runs pass, which
+	// converts their missing slabs (convertTrace); passErr is its
+	// generation error.
+	classes []*classInput
+	pass    sync.Once
+	passErr error
 }
 
 // unuse gives up one class's claim on the instructions; the last claim
@@ -210,9 +219,11 @@ func forEach(n, par int, fn func(i int)) {
 // execute runs cells over profiles on the configured worker pool and
 // returns their Results. Cells should come in trace-major order: misses
 // run in cell order, so a trace's classes acquire their records together
-// and at most about Parallelism traces hold generated instructions at a
-// time. A trace's instructions are dropped once its last slab or
-// in-memory class has its records, or its last streaming cell finishes.
+// and at most about Parallelism traces are generated or converted at a
+// time. Where a trace's instructions are generated whole — without a slab
+// store, or in the slab path's fallback — they are dropped once its last
+// class that reads them has its records, or its last streaming cell
+// finishes.
 //
 // The run has two phases. First every cell is looked up: in the
 // experiment store with one batched read, then the store's misses in the
@@ -223,7 +234,9 @@ func forEach(n, par int, fn func(i int)) {
 // trace is generated only if one of its cells missed, and each (trace,
 // options) class with a miss gets its records once — from the slab store
 // when there is one, mapped at the class's first cell and unmapped after
-// its last. Without a slab store, a class with several missed cells
+// its last. The trace's first missed cell first converts all its missing
+// slabs in one pass over a streamed generation (convertTrace). Without a
+// slab store, a class with several missed cells
 // (Table 3's nine prefetcher models, the ablation's eighteen
 // configurations) is converted once into memory, and a class with one (a
 // sweep variant) streams through its own converter, which keeps peak
@@ -297,6 +310,7 @@ func (c *SweepConfig) execute(profiles []synth.Profile, cells []cell) *executed 
 	for _, in := range classes {
 		in.tr = &traces[in.trace]
 		in.tr.users.Add(1)
+		in.tr.classes = append(in.tr.classes, in)
 	}
 	forEach(len(misses), c.Parallelism, func(k int) {
 		i := misses[k]
@@ -332,7 +346,7 @@ func (c *SweepConfig) execute(profiles []synth.Profile, cells []cell) *executed 
 		finish(cl.trace)
 	})
 	for ti := range traces {
-		if err := traces[ti].err; err != nil {
+		if err := cmp.Or(traces[ti].passErr, traces[ti].err); err != nil {
 			ex.genErrs[ti] = fmt.Errorf("experiments: generate %s: %w", profiles[ti].Name, err)
 		}
 	}
@@ -365,9 +379,16 @@ func (c *SweepConfig) input(p *synth.Profile, in *classInput, generate func() ([
 	in.once.Do(func() {
 		defer in.tr.unuse()
 		if c.Slabs != nil {
-			// The store converts — and generates — only on its own miss.
-			// A slab's persisted converter statistics equal the streaming
-			// converter's, which the slab-transparency oracle enforces.
+			tr := in.tr
+			tr.pass.Do(func() { tr.passErr = c.convertTrace(p, tr.classes) })
+			if in.err = tr.passErr; in.err != nil {
+				return
+			}
+			// The pass left the class's slab on disk, unless it failed or
+			// was evicted since; then the store converts again, from the
+			// generated instructions. A slab's persisted converter
+			// statistics equal the streaming converter's, which the
+			// slab-transparency oracle enforces.
 			in.slab, in.err = acquireSlab(c.Slabs, p, in.opts, c.Instructions, generate)
 			if in.err == nil {
 				in.recs, in.conv = in.slab.Records(), in.slab.Conv()

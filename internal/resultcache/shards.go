@@ -132,6 +132,14 @@ func (s *Shards) Hit(key Key, size int64) {
 	s.mu.Unlock()
 }
 
+// Has reports whether the index lists an entry for key.
+func (s *Shards) Has(key Key) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, ok := s.index[key]
+	return ok
+}
+
 // Drop unindexes the entry for key and removes its file, returning the
 // removal's error (os.ErrNotExist if there was no file).
 func (s *Shards) Drop(key Key) error {

@@ -10,6 +10,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -173,12 +174,18 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	j.streamTo(w)
 }
 
-// decodeJobSpec reads a POST /jobs body: at most 1 MiB of JSON, validated
-// and normalized.
+// decodeJobSpec reads a POST /jobs body: at most 1 MiB holding one JSON
+// object with only JobSpec's fields, validated and normalized. A
+// misspelled field is an error naming it, not a default silently applied.
 func decodeJobSpec(body io.Reader) (JobSpec, error) {
 	var spec JobSpec
-	if err := json.NewDecoder(io.LimitReader(body, 1<<20)).Decode(&spec); err != nil {
+	dec := json.NewDecoder(io.LimitReader(body, 1<<20))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
 		return spec, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return spec, errors.New("trailing data after the job spec")
 	}
 	return spec, spec.Validate()
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -271,5 +272,32 @@ func TestJobSpecKeyNormalization(t *testing.T) {
 	c := JobSpec{Exp: "fig1,table2", Instructions: 99999}
 	if b.Key() == c.Key() {
 		t.Fatal("different instruction budgets must not collide")
+	}
+}
+
+// TestJobSpecStrictDecoding: a field JobSpec does not have, or data after
+// the spec's object, gets a 400 that says what is wrong.
+func TestJobSpecStrictDecoding(t *testing.T) {
+	srv, _, _ := newTestServer(t)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	for body, want := range map[string]string{
+		`{"exp":"fig1","instrutions":20000}`: `unknown field "instrutions"`,
+		`{"exp":"fig1"} {"exp":"fig2"}`:      "trailing data",
+		`{"exp":"fig1"}]`:                    "trailing data",
+	} {
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), want) {
+			t.Errorf("body %q: status %d %q, want 400 naming %q", body, resp.StatusCode, msg, want)
+		}
+	}
+	if _, err := decodeJobSpec(strings.NewReader("{\"exp\":\"fig1\"}\n\t ")); err != nil {
+		t.Errorf("trailing whitespace rejected: %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 package tracestore
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -55,9 +56,9 @@ type Stats struct {
 	Corrupt uint64 `json:"corrupt"`
 	// Evictions counts slab files removed by the disk LRU bound.
 	Evictions uint64 `json:"evictions"`
-	// WriteErrors counts persist failures; the slab is still served,
-	// converted a second time into memory, so a read-only store degrades
-	// gracefully.
+	// WriteErrors counts slab write failures. GetOrStream still serves
+	// the slab, converted a second time into memory, so a read-only store
+	// degrades gracefully; Write leaves it to a later GetOrStream.
 	WriteErrors uint64 `json:"write_errors"`
 	// BytesMapped counts slab file bytes mapped from disk; BytesWritten
 	// counts slab file bytes persisted.
@@ -115,8 +116,11 @@ type Store struct {
 	mu      sync.Mutex
 	open    map[Key]*Slab // referenced slabs
 	flights map[Key]*flight
-	mapped  uint64 // file bytes the slabs in open hold mapped
-	stats   Stats
+	// fresh holds the keys Write persisted that no load has mapped yet:
+	// their first load counts with the Write's miss, not as a hit.
+	fresh  map[Key]bool
+	mapped uint64 // file bytes the slabs in open hold mapped
+	stats  Stats
 }
 
 // Open opens (creating if needed) the slab store rooted at cfg.Dir. The
@@ -144,6 +148,7 @@ func Open(cfg Config) (*Store, error) {
 		warn:     cfg.Warn,
 		open:     make(map[Key]*Slab),
 		flights:  make(map[Key]*flight),
+		fresh:    make(map[Key]bool),
 	}, nil
 }
 
@@ -181,6 +186,14 @@ func (s *Store) DiskBytes() int64 {
 		return 0
 	}
 	return shards.Bytes()
+}
+
+// Has reports whether the store's index lists a slab for key, building the
+// index if no call has yet; false if it cannot be built. The file itself
+// is not opened or validated.
+func (s *Store) Has(key Key) bool {
+	shards, err := s.index()
+	return err == nil && shards.Has(key)
 }
 
 // Get returns the slab for key if another caller holds it or it is valid
@@ -279,15 +292,8 @@ func (s *Store) fill(key Key, convert StreamFunc) (*Slab, error) {
 		return sl, nil
 	}
 
-	s.mu.Lock()
-	s.stats.Misses++
-	s.stats.Converts++
-	s.mu.Unlock()
 	sl, err := s.persist(key, convert)
 	if err != nil {
-		s.mu.Lock()
-		s.stats.ConvertErrors++
-		s.mu.Unlock()
 		return nil, err
 	}
 	s.mu.Lock()
@@ -364,18 +370,26 @@ func (s *Store) loadDisk(key Key) *Slab {
 	}
 	s.shards.Hit(key, size)
 	s.mu.Lock()
+	// The first load of a slab this process wrote counts with its Write's
+	// miss, not as a hit.
+	hit := !s.fresh[key]
+	delete(s.fresh, key)
 	if prior, ok := s.open[key]; ok {
 		// Lost a race with another loader (Get vs GetOrStream): share the
 		// installed mapping, drop ours.
 		prior.refs++
-		s.stats.Hits++
-		s.stats.MemHits++
+		if hit {
+			s.stats.Hits++
+			s.stats.MemHits++
+		}
 		s.mu.Unlock()
 		sl.free()
 		return prior
 	}
-	s.stats.Hits++
-	s.stats.DiskHits++
+	if hit {
+		s.stats.Hits++
+		s.stats.DiskHits++
+	}
 	s.stats.BytesMapped += uint64(size)
 	s.install(sl)
 	s.mu.Unlock()
@@ -391,19 +405,81 @@ func (s *Store) install(sl *Slab) {
 	s.stats.PeakMappedBytes = max(s.stats.PeakMappedBytes, s.mapped)
 }
 
-// persist converts the slab for key straight into a temp file as convert
-// emits it, publishes the file through the built index (rename, so the
-// slab appears whole or not at all) and maps it: the served records are
-// the shared read-only file pages, and the conversion never holds the
-// whole record array. The file is written front to back — a zero header
-// page, the records and meta under a running data CRC, the footer — and
-// the real header last, at offset 0, since it carries the record count.
-// A conversion error is returned with nothing left on disk. A failure of
-// any write step, the rename included, is warned and counted, and the slab
-// is served from a second conversion into memory.
+// persist converts the slab for key into its file (see write) and maps
+// it: the served records are the shared read-only file pages, and the
+// conversion never holds the whole record array. A conversion error is
+// counted and returned. After a failed write, or when the file cannot be
+// mapped, the slab is served from a second conversion into memory.
 func (s *Store) persist(key Key, convert StreamFunc) (*Slab, error) {
-	var conv core.Stats
-	var count int
+	conv, count, size, err := s.write(key, convert)
+	if errors.Is(err, errWriteFailed) {
+		return s.convertHeap(key, convert)
+	}
+	if err != nil {
+		return nil, err
+	}
+	// Serve the file mapping, so every consumer of this slab — including
+	// other processes — shares one set of page-cache pages.
+	f, err := os.Open(s.EntryPath(key))
+	if err != nil {
+		return s.convertHeap(key, convert) // evicted already?; no warning needed
+	}
+	data, err := mapFile(f, size)
+	f.Close()
+	if err != nil {
+		return s.convertHeap(key, convert)
+	}
+	s.mu.Lock()
+	s.stats.BytesMapped += uint64(size)
+	s.mu.Unlock()
+	return &Slab{
+		store: s,
+		key:   key,
+		conv:  conv,
+		recs:  viewRecords(data, count),
+		data:  data,
+	}, nil
+}
+
+// Write converts the slab for key into its file, as GetOrStream does on a
+// miss, but neither maps nor serves it. It is the entry point for a caller
+// that converts several slabs from one pass over their input and maps each
+// at its first use: it counts a miss and a conversion, and the first load
+// of the written slab then counts with that miss, not as a hit. A
+// conversion error is counted and returned with nothing left on disk. A
+// failed write is warned, counted and returned; the slab is then absent,
+// and a later GetOrStream converts it again.
+func (s *Store) Write(key Key, convert StreamFunc) error {
+	if _, err := s.index(); err != nil {
+		return err
+	}
+	if _, _, _, err := s.write(key, convert); err != nil {
+		return err
+	}
+	s.mu.Lock()
+	s.fresh[key] = true
+	s.mu.Unlock()
+	return nil
+}
+
+// errWriteFailed wraps the cause of a failed slab write.
+var errWriteFailed = errors.New("tracestore: slab write failed")
+
+// write converts the slab for key straight into a temp file as convert
+// emits it and publishes the file through the built index (rename, so the
+// slab appears whole or not at all). The file is written front to back — a
+// zero header page, the records and meta under a running data CRC, the
+// footer — and the real header last, at offset 0, since it carries the
+// record count. It counts a miss and a conversion, and returns the
+// converter statistics, the record count and the file size. A conversion
+// error is counted and returned with nothing left on disk. A failure of any write step, the rename included, is
+// warned, counted, and returned wrapping errWriteFailed.
+func (s *Store) write(key Key, convert StreamFunc) (conv core.Stats, count int, size int64, err error) {
+	s.mu.Lock()
+	s.stats.Misses++
+	s.stats.Converts++
+	delete(s.fresh, key) // written before, then evicted or damaged unloaded
+	s.mu.Unlock()
 	var convErr error
 	size, evicted, err := s.shards.Publish(key, func(f *os.File) error {
 		var w tempFile = f
@@ -447,42 +523,23 @@ func (s *Store) persist(key Key, convert StreamFunc) (*Slab, error) {
 		_, err = w.WriteAt(encodeHeader(header{count: count, metaLen: len(meta), key: key}), 0)
 		return err
 	})
-	if convErr != nil {
-		return nil, convErr
-	}
-	if err != nil {
-		s.warn("tracestore: slab write failed (serving from memory): %v", err)
-		s.mu.Lock()
-		s.stats.WriteErrors++
-		s.mu.Unlock()
-		return s.convertHeap(key, convert)
+	if err != nil && convErr == nil {
+		err = fmt.Errorf("%w: %v", errWriteFailed, err)
+		s.warn("%v", err)
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch {
+	case convErr != nil:
+		s.stats.ConvertErrors++
+		return conv, 0, 0, convErr
+	case err != nil:
+		s.stats.WriteErrors++
+		return conv, 0, 0, err
+	}
 	s.stats.BytesWritten += uint64(size)
 	s.stats.Evictions += uint64(evicted)
-	s.mu.Unlock()
-
-	// Serve the file mapping, so every consumer of this slab — including
-	// other processes — shares one set of page-cache pages.
-	f, err := os.Open(s.EntryPath(key))
-	if err != nil {
-		return s.convertHeap(key, convert) // evicted already?; no warning needed
-	}
-	data, err := mapFile(f, size)
-	f.Close()
-	if err != nil {
-		return s.convertHeap(key, convert)
-	}
-	s.mu.Lock()
-	s.stats.BytesMapped += uint64(size)
-	s.mu.Unlock()
-	return &Slab{
-		store: s,
-		key:   key,
-		conv:  conv,
-		recs:  viewRecords(data, count),
-		data:  data,
-	}, nil
+	return conv, count, size, nil
 }
 
 // convertHeap runs convert again, into memory, for a slab the store could

@@ -767,3 +767,73 @@ func TestIndexAtFirstUse(t *testing.T) {
 		t.Fatalf("DiskBytes after Open = %d, want the on-disk footprint %d", got, footprint)
 	}
 }
+
+// TestWriteThenLoad: Write persists a slab without mapping it and counts
+// one miss and one conversion; the first load counts with that miss, and
+// only later loads are hits. A failed Write warns, counts a write error,
+// leaves no file, and the next GetOrStream converts the slab again.
+func TestWriteThenLoad(t *testing.T) {
+	const n, batch = 300, 100
+	dir := t.TempDir()
+	s := mustOpen(t, Config{Dir: dir})
+	key := testKey(90)
+	if s.Has(key) {
+		t.Fatal("empty store has the slab")
+	}
+	if err := s.Write(key, streamerFor(n, batch, 90, 0, nil)); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Misses != 1 || st.Converts != 1 || st.BytesWritten == 0 || st.BytesMapped != 0 || st.PeakMappedBytes != 0 {
+		t.Fatalf("stats after Write: %+v", st)
+	}
+	if !s.Has(key) {
+		t.Fatal("written slab is not indexed")
+	}
+	sl, err := s.GetOrStream(key, func(func([]champtrace.Instruction) error) (core.Stats, error) {
+		t.Fatal("written slab converted again")
+		return core.Stats{}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(sl.Records(), testRecords(n, 90)) || sl.Conv() != testConv(n) {
+		t.Fatal("written slab differs from its conversion")
+	}
+	sl.Release()
+	if st := s.Stats(); st.Hits != 0 || st.Misses != 1 || st.BytesMapped == 0 {
+		t.Fatalf("first load counted as a hit or a second miss: %+v", st)
+	}
+	sl, ok := s.Get(key)
+	if !ok {
+		t.Fatal("written slab not found")
+	}
+	sl.Release()
+	if st := s.Stats(); st.Hits != 1 || st.DiskHits != 1 || st.Misses != 1 {
+		t.Fatalf("second load is not a disk hit: %+v", st)
+	}
+
+	var warned []string
+	s.warn = func(f string, a ...any) { warned = append(warned, fmt.Sprintf(f, a...)) }
+	s.wrapTemp = func(f tempFile) tempFile { return &faultyTemp{tempFile: f, failWrite: 2} }
+	key = testKey(91)
+	if err := s.Write(key, streamerFor(n, batch, 91, 0, nil)); err == nil {
+		t.Fatal("failed Write returned no error")
+	}
+	if st := s.Stats(); st.WriteErrors != 1 || st.Misses != 2 || len(warned) != 1 || s.Has(key) {
+		t.Fatalf("failed Write: stats %+v, %d warnings, indexed %v", st, len(warned), s.Has(key))
+	}
+	s.wrapTemp = nil
+	sl, err = s.GetOrStream(key, streamerFor(n, batch, 91, 0, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sl.Release()
+	if st := s.Stats(); st.Converts != 3 || st.Misses != 3 || st.Hits != 1 {
+		t.Fatalf("reconversion after the failed Write: %+v", st)
+	}
+	for _, f := range storeFiles(dir) {
+		if strings.HasPrefix(filepath.Base(f), "tmp-") {
+			t.Fatalf("temp file left behind: %s", f)
+		}
+	}
+}
