@@ -359,12 +359,13 @@ func (c *SweepConfig) execute(profiles []synth.Profile, cells []cell) *executed 
 type sourceFunc func() (champtrace.Source, func() core.Stats, func())
 
 // input acquires a class's records on first use and returns the source
-// factory for one of its cells: a view of the shared slab or in-memory
-// conversion, or — for a lone missed cell without a slab store — a
-// streaming converter over the trace's instructions. Streaming peaks
-// lower than converting that class into memory: for `-exp all -step 17`
-// with every store off on 2 vCPU, 89 against 90–94 MB at -parallel 1 and
-// 119–121 against 125–143 MB at -parallel 2, at the same wall time.
+// factory for one of its cells: a reader of the shared slab (which drops
+// the pages it has read) or of the in-memory conversion, or — for a lone
+// missed cell without a slab store — a streaming converter over the
+// trace's instructions. Streaming peaks lower than converting that class
+// into memory: for `-exp all -step 17` with every store off on 2 vCPU, 89
+// against 90–94 MB at -parallel 1 and 119–121 against 125–143 MB at
+// -parallel 2, at the same wall time.
 func (c *SweepConfig) input(p *synth.Profile, in *classInput, generate func() ([]cvp.Instruction, error)) (sourceFunc, error) {
 	if c.Slabs == nil && in.cells == 1 {
 		instrs, err := generate()
@@ -391,7 +392,7 @@ func (c *SweepConfig) input(p *synth.Profile, in *classInput, generate func() ([
 			// slab-transparency oracle enforces.
 			in.slab, in.err = acquireSlab(c.Slabs, p, in.opts, c.Instructions, generate)
 			if in.err == nil {
-				in.recs, in.conv = in.slab.Records(), in.slab.Conv()
+				in.conv = in.slab.Conv()
 			}
 			return
 		}
@@ -405,9 +406,15 @@ func (c *SweepConfig) input(p *synth.Profile, in *classInput, generate func() ([
 	if in.err != nil {
 		return nil, in.err
 	}
-	recs, conv := in.recs, in.conv
+	slab, recs, conv := in.slab, in.recs, in.conv
 	return func() (champtrace.Source, func() core.Stats, func()) {
-		return champtrace.NewValuesSource(recs), func() core.Stats { return conv }, func() {}
+		var src champtrace.Source
+		if slab != nil {
+			src = slab.Source()
+		} else {
+			src = champtrace.NewValuesSource(recs)
+		}
+		return src, func() core.Stats { return conv }, func() {}
 	}, nil
 }
 

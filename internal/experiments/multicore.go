@@ -187,7 +187,7 @@ func runMultiVariant(canon []synth.Profile, generate func() error, instrs [][]cv
 				return CoSchedResult{}, err
 			}
 			conv := sl.Conv()
-			srcs[i] = champtrace.NewValuesSource(sl.Records())
+			srcs[i] = sl.Source()
 			convStats[i] = func() core.Stats { return conv }
 			cleanups = append(cleanups, sl.Release)
 			continue

@@ -212,15 +212,20 @@ func metaRegion(data []byte, h header) []byte {
 }
 
 // checkFooter validates the data CRC and end magic over a complete mapping.
-// It touches every page of the record region, which doubles as the
-// prefetch warm.
+// It sums the body a dropStep at a time and drops each step's pages once
+// summed, so the check leaves about one step of the file resident.
 func checkFooter(data []byte, h header) bool {
 	end := h.fileSize()
 	if int64(len(data)) != end {
 		return false
 	}
-	body := data[headerSize : end-footerSize]
-	crc := frame.Checksum(body)
+	var crc uint32
+	for body := data[headerSize : end-footerSize]; len(body) > 0; {
+		n := min(len(body), dropStep)
+		crc = frame.Update(crc, body[:n])
+		dropPages(body[:n])
+		body = body[n:]
+	}
 	if binary.LittleEndian.Uint32(data[end-footerSize:end-4]) != crc {
 		return false
 	}

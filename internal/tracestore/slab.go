@@ -1,6 +1,8 @@
 package tracestore
 
 import (
+	"io"
+
 	"tracerebase/internal/champtrace"
 	"tracerebase/internal/core"
 )
@@ -9,7 +11,9 @@ import (
 // slice is a read-only view into an mmap'd file (or, after a write
 // failure, a plain heap slab) and stays valid until Release drops the last
 // reference — a slab is never unmapped under a simulation that still
-// holds it.
+// holds it. Being mapped is not being resident: a Source gives back the
+// pages it has read, so a simulating cell keeps about dropStep bytes of
+// its slab in the process's memory, not the whole file.
 type Slab struct {
 	store *Store
 	key   Key
@@ -31,8 +35,56 @@ type Slab struct {
 }
 
 // Records returns the simulation-ready instruction slab. The slice is
-// shared and read-only; it must not be retained past Release.
+// shared and read-only; it must not be retained past Release. The pages
+// it touches stay resident until the last Release: a simulation reads
+// through Source instead.
 func (s *Slab) Records() []champtrace.Instruction { return s.recs }
+
+// Source returns a reader over the slab's records from the first, for one
+// front-to-back pass; each call returns an independent reader. A reader of
+// a mapped slab drops each dropStep of pages from the process's mapping
+// once it has passed it (dropPages). A dropped page faults back in from
+// the page cache unchanged, so readers at different offsets, or a file
+// evicted meanwhile, still read what was written. The reader must not be
+// used past Release.
+func (s *Slab) Source() champtrace.Source {
+	if s.data == nil {
+		return champtrace.NewValuesSource(s.recs)
+	}
+	return &slabSource{recs: s.recs, data: s.data}
+}
+
+// dropStep is the unit in which a reader gives pages back: entering a new
+// dropStep of the record region, it drops the one it has finished. It is
+// a constant, not a knob: a smaller step saves little RSS and costs system
+// CPU per drop (see DESIGN.md, "Lifetime").
+const dropStep = 1 << 20
+
+// dropRecords is the record count of one dropStep (records never straddle
+// a step: recordSize divides it).
+const dropRecords = dropStep / recordSize
+
+// slabSource reads a mapped slab's records in order, dropping the pages
+// of each finished dropStep.
+type slabSource struct {
+	recs []champtrace.Instruction
+	data []byte // the mapping; recs is a view into it
+	pos  int
+}
+
+// Next implements champtrace.Source.
+func (r *slabSource) Next() (*champtrace.Instruction, error) {
+	if r.pos >= len(r.recs) {
+		return nil, io.EOF
+	}
+	if r.pos > 0 && r.pos%dropRecords == 0 {
+		off := headerSize + (r.pos-dropRecords)*recordSize
+		dropPages(r.data[off : off+dropStep])
+	}
+	in := &r.recs[r.pos]
+	r.pos++
+	return in, nil
+}
 
 // Conv returns the converter statistics captured when the slab was built.
 // They are part of the slab's content: figure rendering consumes them, so

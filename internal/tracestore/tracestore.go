@@ -65,7 +65,8 @@ type Stats struct {
 	BytesMapped  uint64 `json:"bytes_mapped"`
 	BytesWritten uint64 `json:"bytes_written"`
 	// PeakMappedBytes is the most slab file bytes the store held mapped at
-	// once: the slab share of the process's resident memory.
+	// once. Mapped is not resident: a slab's readers drop the pages they
+	// have passed, so each keeps about a dropStep of its slab resident.
 	PeakMappedBytes uint64 `json:"peak_mapped_bytes"`
 }
 
@@ -112,6 +113,9 @@ type Store struct {
 	// wrapTemp, when set, wraps the temp file each slab is written into.
 	// It is the test seam for write failures: production leaves it nil.
 	wrapTemp func(tempFile) tempFile
+	// mapHook, when set, maps slab files in place of mapFile. It is the
+	// test seam for map failures: production leaves it nil.
+	mapHook func(f *os.File, size int64) ([]byte, error)
 
 	mu      sync.Mutex
 	open    map[Key]*Slab // referenced slabs
@@ -315,7 +319,8 @@ func (s *Store) fill(key Key, convert StreamFunc) (*Slab, error) {
 // index.
 // Corrupt files are removed so they are reconverted, never served; foreign
 // files (other format version or architecture) are left in place for the
-// native writer to atomically replace.
+// native writer to atomically replace. A file that cannot be mapped is a
+// plain miss: it is warned and left in place, not counted as corrupt.
 func (s *Store) loadDisk(key Key) *Slab {
 	path := s.EntryPath(key)
 	f, err := os.Open(path)
@@ -332,29 +337,31 @@ func (s *Store) loadDisk(key Key) *Slab {
 	var sl *Slab
 	if size >= headerSize+footerSize {
 		var data []byte
-		data, err = mapFile(f, size)
-		if err == nil {
-			var h header
-			h, verdict = parseHeader(data[:headerSize], key)
-			if verdict == headerOK {
-				var conv core.Stats
-				if !checkFooter(data, h) {
-					verdict = headerCorrupt
-				} else if conv, err = decodeMeta(metaRegion(data, h)); err != nil {
-					verdict = headerCorrupt
-				} else {
-					sl = &Slab{
-						store: s,
-						key:   key,
-						conv:  conv,
-						recs:  viewRecords(data, h.count),
-						data:  data,
-					}
+		if data, err = s.mapSlab(f, size); err != nil {
+			f.Close()
+			s.warn("tracestore: cannot map slab %s: %v", path, err)
+			return nil
+		}
+		var h header
+		h, verdict = parseHeader(data[:headerSize], key)
+		if verdict == headerOK {
+			var conv core.Stats
+			if !checkFooter(data, h) {
+				verdict = headerCorrupt
+			} else if conv, err = decodeMeta(metaRegion(data, h)); err != nil {
+				verdict = headerCorrupt
+			} else {
+				sl = &Slab{
+					store: s,
+					key:   key,
+					conv:  conv,
+					recs:  viewRecords(data, h.count),
+					data:  data,
 				}
 			}
-			if sl == nil {
-				unmapFile(data)
-			}
+		}
+		if sl == nil {
+			unmapFile(data)
 		}
 	}
 	f.Close()
@@ -396,6 +403,14 @@ func (s *Store) loadDisk(key Key) *Slab {
 	return sl
 }
 
+// mapSlab maps size bytes of a slab file (see mapFile).
+func (s *Store) mapSlab(f *os.File, size int64) ([]byte, error) {
+	if s.mapHook != nil {
+		return s.mapHook(f, size)
+	}
+	return mapFile(f, size)
+}
+
 // install (mu held) indexes sl under the caller's first reference, so
 // later callers share its mapping until the last Release drops it.
 func (s *Store) install(sl *Slab) {
@@ -424,7 +439,7 @@ func (s *Store) persist(key Key, convert StreamFunc) (*Slab, error) {
 	if err != nil {
 		return s.convertHeap(key, convert) // evicted already?; no warning needed
 	}
-	data, err := mapFile(f, size)
+	data, err := s.mapSlab(f, size)
 	f.Close()
 	if err != nil {
 		return s.convertHeap(key, convert)
