@@ -164,9 +164,9 @@ func TestCLIFrontEnd(t *testing.T) {
 		})
 	})
 
-	// A sampled run adds the checkpoint cache's block, with the result
-	// cache's counters.
-	t.Run("bench-json checkpoint cache", func(t *testing.T) {
+	// A sampled run records its sampling parameters beside the standard
+	// blocks of the stores it used.
+	t.Run("bench-json sample", func(t *testing.T) {
 		benchPath := filepath.Join(dir, "bench_sample.json")
 		_, stderr, code := run("-exp", "ablation", "-sample", "-step", "27", "-instructions", "40000", "-warmup", "10000",
 			"-q", "-cache-dir", filepath.Join(dir, "cache_sample"), "-bench-json", benchPath)
@@ -177,9 +177,19 @@ func TestCLIFrontEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var rec struct {
+			Sample struct{ Period, Detail, Warm uint64 }
+		}
+		if err := json.Unmarshal(data, &rec); err != nil {
+			t.Fatal(err)
+		}
+		if s := rec.Sample; s.Period == 0 || s.Detail == 0 || s.Detail > s.Period {
+			t.Fatalf("bench-json: sample block %+v; want the run's sampling parameters", s)
+		}
 		requireBenchKeys(t, data, map[string][]string{
-			"":                 {"sample", "checkpoint_cache"},
-			"checkpoint_cache": cacheKeys,
+			"":       {"sample", "cache", "cache_tiers", "trace_store", "exp_store", "max_rss_bytes", "wall_seconds"},
+			"sample": {"period", "detail", "warm"},
+			"cache":  cacheKeys,
 		})
 	})
 }

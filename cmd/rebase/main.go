@@ -308,14 +308,6 @@ func run() (code int) {
 		} else {
 			cfg.Cache = cache
 		}
-		if *sample {
-			ckpts, err := experiments.OpenCheckpointCache(*cacheDir, 0)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "rebase: checkpoint cache disabled: %v\n", err)
-			} else {
-				cfg.Checkpoints = ckpts
-			}
-		}
 	}
 	if !*quiet {
 		cfg.Progress = func(done, total int) {
@@ -392,8 +384,6 @@ type benchRecord struct {
 	// CacheTiers breaks the result-cache backend down per tier (memory,
 	// disk, remote) with hit/miss/latency/byte counters.
 	CacheTiers []resultcache.BackendStats `json:"cache_tiers,omitempty"`
-	// CheckpointCache records warmed-checkpoint reuse in sampled runs.
-	CheckpointCache *resultcache.Stats `json:"checkpoint_cache,omitempty"`
 	// Skip carries per-category cycle-skipping fractions when the run
 	// included the figure sweep.
 	Skip []report.SkipStat `json:"skip,omitempty"`
@@ -449,10 +439,6 @@ func writeBenchJSON(path, exp string, step int, cfg experiments.SweepConfig, ela
 		s := cfg.Cache.Stats()
 		rec.Cache = &s
 		rec.CacheTiers = cfg.Cache.TierStats()
-	}
-	if cfg.Checkpoints != nil {
-		s := cfg.Checkpoints.Stats()
-		rec.CheckpointCache = &s
 	}
 	if cfg.Slabs != nil {
 		s := cfg.Slabs.Stats()

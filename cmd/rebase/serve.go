@@ -77,11 +77,6 @@ func runServe(args []string) int {
 		Parallelism: *parallel,
 		Cache:       cache,
 	}
-	if ckpts, err := experiments.OpenCheckpointCache(dir, 0); err == nil {
-		base.Checkpoints = ckpts
-	} else {
-		fmt.Fprintf(log, "rebase: checkpoint cache disabled: %v\n", err)
-	}
 	defer openStores(&base, storeConfig{cacheDir: dir, noSlabs: *noSlabs, noExp: *noExpStore}, log)()
 
 	srv := server.New(server.Config{

@@ -90,12 +90,6 @@ func printStoreStats(cfg experiments.SweepConfig, expMisses int) {
 	if cfg.MultiCache != nil {
 		cache(cfg.MultiCache.Stats(), cfg.MultiCache.Dir())
 	}
-	if cfg.Checkpoints != nil {
-		s := cfg.Checkpoints.Stats()
-		fmt.Fprintf(os.Stderr, "checkpoints: %d hits (%d mem, %d disk), %d misses, %.1f MB read, %.1f MB written\n",
-			s.Hits, s.MemHits, s.DiskHits, s.Misses,
-			float64(s.BytesRead)/1e6, float64(s.BytesWritten)/1e6)
-	}
 	if cfg.Slabs != nil {
 		s := cfg.Slabs.Stats()
 		fmt.Fprintf(os.Stderr, "slabs: %d hits (%d mem, %d disk), %d misses, %d converted, %.1f MB peak mapped, %d corrupt, %.1f MB mapped, %.1f MB written (%s)\n",

@@ -2,8 +2,8 @@ package conformance
 
 // Sampling oracles: SMARTS-style sampled simulation (sim.Config.SamplePeriod)
 // trades a pinned, bounded IPC error for speed, and everything else about it
-// must stay exact — deterministic replay, checkpoint-resume equality, cache
-// keys disjoint from exact mode's. These checks make those contracts part of
+// must stay exact — deterministic replay, cache keys disjoint from exact
+// mode's, scheduling independence. These checks make those contracts part of
 // `rebase -selftest`, alongside the golden corpus's pinned sampled counters.
 
 import (
@@ -12,7 +12,6 @@ import (
 	"fmt"
 
 	"tracerebase/internal/core"
-	"tracerebase/internal/cvp"
 	"tracerebase/internal/experiments"
 	"tracerebase/internal/sim"
 	"tracerebase/internal/synth"
@@ -65,68 +64,6 @@ func CheckSampledDeterminism(p synth.Profile, n int, warmup uint64) error {
 	}
 	if first.SampleIntervals == 0 {
 		return fmt.Errorf("%s: sampled run measured no intervals (period too long for %d instructions?)", p.Name, n)
-	}
-	return nil
-}
-
-// CheckCheckpointResume proves the mid-trace resume contract. In sampled
-// mode a run's warm-up phase is exactly the functional warming a checkpoint
-// captures, so resuming from a warm-up checkpoint must reproduce the
-// uninterrupted run bit for bit. In exact mode the plain run warms up
-// through the detailed pipeline instead, so the resume oracle is restore
-// determinism: two independent resumes from the same checkpoint must agree
-// (the live-continuation equality is covered by the simulator's own tests).
-func CheckCheckpointResume(p synth.Profile, n int, warmup uint64) error {
-	instrs, err := p.GenerateBatch(n)
-	if err != nil {
-		return err
-	}
-	opts := core.OptionsAll()
-	resume := func(cfg sim.Config, ck sim.Checkpoint) (sim.Stats, error) {
-		cs := core.NewConverterSource(cvp.NewValuesSource(instrs), opts)
-		defer cs.Close()
-		return sim.RunFrom(cs, cfg, ck, 0)
-	}
-	checkpoint := func(cfg sim.Config) (sim.Checkpoint, error) {
-		cs := core.NewConverterSource(cvp.NewValuesSource(instrs), opts)
-		defer cs.Close()
-		return sim.WarmCheckpoint(cs, cfg, warmup)
-	}
-
-	sampled := sampledCfgFor(opts, n)
-	straight, err := simulate(instrs, opts, sampled, warmup)
-	if err != nil {
-		return fmt.Errorf("%s sampled: %w", p.Name, err)
-	}
-	ck, err := checkpoint(sampled)
-	if err != nil {
-		return fmt.Errorf("%s sampled: checkpoint: %w", p.Name, err)
-	}
-	resumed, err := resume(sampled, ck)
-	if err != nil {
-		return fmt.Errorf("%s sampled: resume: %w", p.Name, err)
-	}
-	if straight != resumed {
-		return fmt.Errorf("%s sampled: checkpoint resume diverges from the uninterrupted run:\n straight %+v\n resumed  %+v",
-			p.Name, straight, resumed)
-	}
-
-	exact := develCfg(opts)
-	ck, err = checkpoint(exact)
-	if err != nil {
-		return fmt.Errorf("%s exact: checkpoint: %w", p.Name, err)
-	}
-	first, err := resume(exact, ck)
-	if err != nil {
-		return fmt.Errorf("%s exact: resume: %w", p.Name, err)
-	}
-	second, err := resume(exact, ck)
-	if err != nil {
-		return fmt.Errorf("%s exact: resume: %w", p.Name, err)
-	}
-	if first != second {
-		return fmt.Errorf("%s exact: two resumes from one checkpoint diverge:\n first  %+v\n second %+v",
-			p.Name, first, second)
 	}
 	return nil
 }

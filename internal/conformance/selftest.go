@@ -207,10 +207,10 @@ func SelfTest(cfg SelfTestConfig) error {
 		return CheckCycleSkipTransparency(goldenProfiles(), cfg.SimInstructions, cfg.Warmup)
 	})
 
-	// 8. Sampling: sampled runs must replay deterministically, resume from
-	// checkpoints without divergence, key apart from exact results, and
-	// stay scheduling-independent under parallel sweeps. The accuracy of
-	// sampled IPC itself is pinned by the golden corpus (step 1).
+	// 8. Sampling: sampled runs must replay deterministically, key apart
+	// from exact results, and stay scheduling-independent under parallel
+	// sweeps. The accuracy of sampled IPC itself is pinned by the golden
+	// corpus (step 1).
 	sampleProfiles := []synth.Profile{
 		synth.PublicProfile(synth.ComputeInt, 1),
 		synth.PublicProfile(synth.Server, 3),
@@ -219,9 +219,6 @@ func SelfTest(cfg SelfTestConfig) error {
 		p := p
 		r.run(fmt.Sprintf("sampling: %s sampled twice, identical stats", p.Name), func() error {
 			return CheckSampledDeterminism(p, cfg.SimInstructions, cfg.Warmup)
-		})
-		r.run(fmt.Sprintf("sampling: %s checkpoint resume == uninterrupted run (sampled + exact)", p.Name), func() error {
-			return CheckCheckpointResume(p, cfg.SimInstructions, cfg.Warmup)
 		})
 	}
 	keyProfile := synth.PublicProfile(synth.ComputeInt, 1)

@@ -60,10 +60,8 @@ func FrontEndAblation(cfg SweepConfig, suite []synth.IPC1Trace) ([]FrontEndAblat
 				if decoupled {
 					c.FTQSize = 64
 				}
-				// Coupled and decoupled front-ends share WarmIdentity, so
-				// in sampled mode each (trace, prefetcher) pair warms once.
 				cells = append(cells, cell{trace: ti, opts: opts, simCfg: c,
-					variant: variant, checkpointable: true})
+					variant: variant})
 			}
 		}
 	}

@@ -39,9 +39,6 @@ type cell struct {
 	simCfg sim.Config
 	// variant is the cell's label in the experiment store.
 	variant string
-	// checkpointable admits the cell to the warmed-prefix checkpoint path
-	// in sampled mode (see SweepConfig.Checkpoints).
-	checkpointable bool
 }
 
 // executed is the outcome of one execute call, indexed like its cells.
@@ -323,11 +320,16 @@ func (c *SweepConfig) execute(profiles []synth.Profile, cells []cell) *executed 
 			return tr.instrs, tr.err
 		}
 		compute := func() (Result, error) {
-			mkSource, err := c.input(p, in, generate)
+			src, conv, cleanup, err := c.input(p, in, generate)
 			if err != nil {
 				return Result{}, err
 			}
-			return c.simulate(p, cl, mkSource)
+			defer cleanup()
+			st, err := sim.Run(src, cl.simCfg, c.Warmup, 0)
+			if err != nil {
+				return Result{}, err
+			}
+			return Result{IPC: st.IPC(), Sim: st, Conv: conv()}, nil
 		}
 		var res Result
 		var err error
@@ -353,29 +355,23 @@ func (c *SweepConfig) execute(profiles []synth.Profile, cells []cell) *executed 
 	return ex
 }
 
-// sourceFunc returns a fresh start-of-trace source over a cell's converted
-// records, a getter for the converter statistics (valid once the source is
-// drained), and a cleanup. The checkpoint path calls it more than once.
-type sourceFunc func() (champtrace.Source, func() core.Stats, func())
-
-// input acquires a class's records on first use and returns the source
-// factory for one of its cells: a reader of the shared slab (which drops
-// the pages it has read) or of the in-memory conversion, or — for a lone
-// missed cell without a slab store — a streaming converter over the
+// input acquires a class's records on first use and returns one cell's
+// source over them, a getter for the converter statistics (valid once the
+// source is drained) and a cleanup: a reader of the shared slab (which
+// drops the pages it has read) or of the in-memory conversion, or — for a
+// lone missed cell without a slab store — a streaming converter over the
 // trace's instructions. Streaming peaks lower than converting that class
 // into memory: for `-exp all -step 17` with every store off on 2 vCPU, 89
 // against 90–94 MB at -parallel 1 and 119–121 against 125–143 MB at
 // -parallel 2, at the same wall time.
-func (c *SweepConfig) input(p *synth.Profile, in *classInput, generate func() ([]cvp.Instruction, error)) (sourceFunc, error) {
+func (c *SweepConfig) input(p *synth.Profile, in *classInput, generate func() ([]cvp.Instruction, error)) (champtrace.Source, func() core.Stats, func(), error) {
 	if c.Slabs == nil && in.cells == 1 {
 		instrs, err := generate()
 		if err != nil {
-			return nil, err
+			return nil, nil, nil, err
 		}
-		return func() (champtrace.Source, func() core.Stats, func()) {
-			cs := core.NewConverterSource(cvp.NewValuesSource(instrs), in.opts)
-			return cs, cs.Stats, func() { cs.Close() }
-		}, nil
+		cs := core.NewConverterSource(cvp.NewValuesSource(instrs), in.opts)
+		return cs, cs.Stats, func() { cs.Close() }, nil
 	}
 	in.once.Do(func() {
 		defer in.tr.unuse()
@@ -404,40 +400,14 @@ func (c *SweepConfig) input(p *synth.Profile, in *classInput, generate func() ([
 		in.recs, in.conv, in.err = core.ConvertAllBatch(cvp.NewValuesSource(instrs), in.opts)
 	})
 	if in.err != nil {
-		return nil, in.err
+		return nil, nil, nil, in.err
 	}
-	slab, recs, conv := in.slab, in.recs, in.conv
-	return func() (champtrace.Source, func() core.Stats, func()) {
-		var src champtrace.Source
-		if slab != nil {
-			src = slab.Source()
-		} else {
-			src = champtrace.NewValuesSource(recs)
-		}
-		return src, func() core.Stats { return conv }, func() {}
-	}, nil
-}
-
-// simulate runs one cell. A checkpointable cell in sampled mode with a
-// checkpoint cache resumes from a shared warmed-prefix checkpoint instead
-// of re-warming; configurations without snapshot support fall through to
-// a plain run.
-func (c *SweepConfig) simulate(p *synth.Profile, cl *cell, mkSource sourceFunc) (Result, error) {
-	if cl.checkpointable && c.Checkpoints != nil && cl.simCfg.SamplePeriod > 0 && c.Warmup > 0 {
-		key := checkpointKey(p, cl.opts, cl.simCfg, c.Instructions, c.Warmup)
-		res, ok, err := runCheckpointed(c.Checkpoints, c.ckptGate, key, mkSource, cl.simCfg, c.Warmup)
-		if err != nil {
-			return Result{}, err
-		}
-		if ok {
-			return res, nil
-		}
+	var src champtrace.Source
+	if in.slab != nil {
+		src = in.slab.Source()
+	} else {
+		src = champtrace.NewValuesSource(in.recs)
 	}
-	src, conv, cleanup := mkSource()
-	defer cleanup()
-	st, err := sim.Run(src, cl.simCfg, c.Warmup, 0)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{IPC: st.IPC(), Sim: st, Conv: conv()}, nil
+	conv := in.conv
+	return src, func() core.Stats { return conv }, func() {}, nil
 }

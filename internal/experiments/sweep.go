@@ -179,17 +179,6 @@ type SweepConfig struct {
 	// cells the store read-back could not serve. Zero in a healthy store;
 	// the store-transparency conformance oracle pins it there.
 	ExpMisses func(misses int)
-	// Checkpoints, when non-nil alongside sampling, serves warmed-prefix
-	// checkpoints by content address: cells sharing a warm identity
-	// (keyed by WarmIdentity, not the full config identity) resume from
-	// one shared checkpoint instead of each re-warming its prefix. A
-	// per-run gate (see checkpointGate) keeps cells with unshared keys on
-	// the plain path so no checkpoint is computed or persisted for them.
-	// nil, or an exact-mode sweep, bypasses checkpointing entirely.
-	Checkpoints *CheckpointCache
-	// ckptGate is shared by every copy of the config made after fill();
-	// it spans all cells of one experiment run.
-	ckptGate *checkpointGate
 }
 
 // DefaultSweepConfig returns the configuration used by the rebase CLI:
@@ -224,9 +213,6 @@ func (c *SweepConfig) fill() error {
 	}
 	if c.Variants == nil {
 		c.Variants = Variants()
-	}
-	if c.Checkpoints != nil && c.ckptGate == nil {
-		c.ckptGate = &checkpointGate{}
 	}
 	return nil
 }
@@ -286,7 +272,7 @@ func RunSweep(profiles []synth.Profile, cfg SweepConfig) ([]TraceResult, error) 
 	for ti := range profiles {
 		for _, v := range cfg.Variants {
 			cells = append(cells, cell{trace: ti, opts: v.Opts, simCfg: cfg.simConfigFor(v.Opts),
-				variant: v.Name, checkpointable: true})
+				variant: v.Name})
 		}
 	}
 	ex := cfg.execute(profiles, cells)

@@ -177,11 +177,9 @@ func Table3(cfg SweepConfig, suite []synth.IPC1Trace) (Table3Result, error) {
 				cfg.applySampling(&simCfg)
 				// The set name ("competition"/"fixed") is the cell's
 				// variant; the prefetcher identity column separates the
-				// nine models within a set. Only the prefetcher-less
-				// baseline is checkpointable: the stateful IPC-1
-				// prefetchers lack snapshot support.
+				// nine models within a set.
 				cells = append(cells, cell{trace: ti, opts: s.opts, simCfg: simCfg,
-					variant: s.name, checkpointable: pf == "none"})
+					variant: s.name})
 			}
 		}
 	}

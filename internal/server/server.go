@@ -30,7 +30,7 @@ type Config struct {
 	// composition Base.Cache stores per-cell results through). Required.
 	Backend resultcache.Backend
 	// Base is the engine configuration template jobs merge into: its
-	// Cache/Checkpoints/Slabs handles and Parallelism are the daemon's;
+	// Cache/Slabs/Exp handles and Parallelism are the daemon's;
 	// per-job fields (instructions, warmup, sampling) are overwritten per
 	// submission.
 	Base experiments.SweepConfig

@@ -84,9 +84,9 @@ type Config struct {
 
 	// Cores > 1 makes this an N-core lockstep configuration simulated via
 	// NewMulti/MultiPipeline: per-core private L1I/L1D/L2/TLBs and
-	// predictors in front of one shared LLC. The single-core entry points
-	// (Run, WarmTo, RunFrom) reject such configurations. Participates in
-	// Identity(), so multi-core cells key disjointly from single-core ones.
+	// predictors in front of one shared LLC. The single-core Run rejects
+	// such configurations. Participates in Identity(), so multi-core cells
+	// key disjointly from single-core ones.
 	Cores int
 	// MemBandwidth is the LLC↔DRAM port issue interval in cycles (one
 	// request per MemBandwidth cycles; queueing when exceeded). Zero
@@ -168,24 +168,6 @@ func (c *Config) Validate() error {
 // separately.
 func (c Config) Identity() string {
 	return fmt.Sprintf("cpu.Config%+v", c)
-}
-
-// WarmIdentity returns a canonical string covering exactly the parameters
-// the functional warmer's state evolution depends on: rule set (branch
-// classification), predictor and target-structure geometry, the memory and
-// TLB hierarchies, the prefetchers, and SampleWarm (which sets how much of
-// a warmed prefix is skipped versus warmed — see warmPrefix). Core geometry
-// (widths, ROB, queues, latencies, decoupling) and the remaining sampling
-// knobs are deliberately excluded — two configurations with equal
-// WarmIdentity produce bit-identical warmed checkpoints over any prefix,
-// which is what lets a sweep variant differing only in core geometry resume
-// from a shared checkpoint.
-func (c Config) WarmIdentity() string {
-	return fmt.Sprintf("cpu.Warm{rules:%v pred:%s btb:%d/%d ras:%d ittage:%t ideal:%t hier:%+v dpf:%s/%s ipf:%s tlbs:%t %+v warm:%d}",
-		c.Rules, c.Predictor, c.BTBEntries, c.BTBWays, c.RASSize,
-		c.UseITTAGE, c.IdealTargets, c.Hierarchy,
-		c.L1DPrefetcher, c.L2Prefetcher, c.L1IPrefetcher,
-		c.UseTLBs, c.TLBs, c.SampleWarm)
 }
 
 // CacheStat is the per-level statistics surfaced in results.

@@ -124,8 +124,7 @@ type Pipeline struct {
 	insertLineAt uint64
 	// sampleSalt hashes the IPs consumed by functional warming; the
 	// sampling loop folds it into its placement RNG so every trace gets
-	// its own stratified interval schedule (sample.go). Checkpointed, so
-	// a resume draws the same schedule as an uninterrupted run.
+	// its own stratified interval schedule (sample.go).
 	sampleSalt uint64
 
 	// Back end. The ROB needs no storage of its own: it is exactly the
@@ -290,8 +289,7 @@ func (p *Pipeline) Run(src champtrace.Source, warmup, maxInstructions uint64) (S
 	return p.runExactBody(warmup, maxInstructions)
 }
 
-// runExactBody is the exact cycle loop, shared by Run and by checkpoint
-// resumes (RunFrom, whose restored prefix was the warm-up, passes 0).
+// runExactBody is Run's exact cycle loop over an initialized look-ahead.
 // Measurement opens once warmup instructions have retired; the run ends at
 // maxInstructions total retired (0 = no limit) or when the trace is
 // exhausted and the pipeline drains.

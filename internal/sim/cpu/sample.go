@@ -21,13 +21,11 @@ package cpu
 // Config.SamplePeriod > 0, and nothing in this file runs otherwise.
 
 import (
-	"fmt"
 	"io"
 	"math"
 
 	"tracerebase/internal/champtrace"
 	"tracerebase/internal/sim/mem"
-	"tracerebase/internal/sim/snap"
 )
 
 // sampleRampDiv: the leading 1/sampleRampDiv of each detailed interval
@@ -45,7 +43,7 @@ const sampleRampDiv = 2
 // which share phase structure — would land their intervals on correlated
 // phase points and their sampling errors would not cancel in category
 // means. Both terms are deterministic functions of the trace, so sampled
-// runs stay bit-deterministic and replay/resume walk identical schedules.
+// runs stay bit-deterministic and every replay walks an identical schedule.
 func sampleRNG(x uint64) uint64 {
 	return x*6364136223846793005 + 1442695040888963407
 }
@@ -67,9 +65,7 @@ func (p *Pipeline) runSampled(src champtrace.Source, warmup, maxInstructions uin
 // instructions warm every structure and the earlier ones warm caches and
 // TLBs only — the same structure every gap uses, so the first detailed
 // interval is conditioned like all later ones. SampleWarm = 0 fully warms
-// the whole region. The policy depends only on SampleWarm, never
-// SamplePeriod, so the state it builds is fully determined by
-// Config.WarmIdentity — the property checkpoint cache keys rely on.
+// the whole region.
 func (p *Pipeline) warmPrefix(n uint64) error {
 	w := n
 	if p.cfg.SampleWarm > 0 && p.cfg.SampleWarm < n {
@@ -249,8 +245,8 @@ func (p *Pipeline) warm(n uint64) (uint64, error) {
 // sequence mirrors bpuFill exactly — branch predictors first, then the
 // fetch-directed L1I access on a line transition, then the FTQ-insert
 // prefetch hook — so over any program prefix the direction predictor, BTB,
-// RAS, ITTAGE, and ITLB reach state bit-identical to a detailed run (the
-// warming equivalence tests compare snapshot bytes to prove it). Data-side
+// RAS, ITTAGE, and ITLB reach state identical to a detailed run (the
+// warming equivalence tests compare the structures to prove it). Data-side
 // accesses issue in program order at one cycle per instruction, a close
 // approximation of the detailed model's out-of-order issue.
 func (p *Pipeline) warmInstr(in *champtrace.Instruction, nextIP uint64) {
@@ -372,26 +368,6 @@ func (p *Pipeline) lightInstr(in *champtrace.Instruction) {
 	}
 }
 
-// skip discards up to n instructions — conversion cost only, no state
-// updates — and reports how many it consumed. Sampling never skips (stale
-// caches bias interval IPC); it exists for checkpoint resumes, where the
-// discarded prefix's state arrives via the checkpoint.
-func (p *Pipeline) skip(n uint64) (uint64, error) {
-	for i := uint64(0); i < n; i++ {
-		_, _, err := p.la.pop()
-		if err == io.EOF {
-			return i, nil
-		}
-		if err != nil {
-			return i, err
-		}
-		p.seq++
-		p.retired++
-		p.cycle++
-	}
-	return n, nil
-}
-
 // add accumulates one measurement window into the aggregate.
 func (s *Stats) add(o Stats) {
 	s.Instructions += o.Instructions
@@ -422,173 +398,4 @@ func (c *CacheStat) add(o CacheStat) {
 	c.Accesses += o.Accesses
 	c.Misses += o.Misses
 	c.UsefulPrefetches += o.UsefulPrefetches
-}
-
-// ---- Checkpoints ----
-
-// Checkpoint is a compact serialized snapshot of warmed microarchitectural
-// state, taken with the pipeline drained (typically at the warm-up
-// boundary of a sampled run). Consumed is the number of trace instructions
-// the snapshot reflects; RunFrom skips that many from a fresh source before
-// restoring. The fields are exported so checkpoints serialize through the
-// result cache's codec.
-type Checkpoint struct {
-	Consumed uint64
-	Cycle    uint64
-	State    []byte
-}
-
-const snapPipeline = 0xc1e00002
-
-type stateSnapshotter interface {
-	Snapshot(w *snap.Writer)
-	Restore(r *snap.Reader)
-}
-
-// Checkpointable reports whether every stateful component of the pipeline
-// implements the snapshot codec. The standard configurations all do; it is
-// false only for exotic prefetcher implementations without Snapshot
-// support.
-func (p *Pipeline) Checkpointable() bool {
-	if p.cfg.Cores > 1 {
-		// The gob-framed snapshot covers exactly one core's state; restoring
-		// it into an N-core system would silently mis-restore. Multi-core
-		// checkpointing needs a per-core snapshot vector keyed by a warm
-		// identity covering the co-schedule, which does not exist yet.
-		return false
-	}
-	if _, ok := p.pred.(stateSnapshotter); !ok {
-		return false
-	}
-	if _, ok := p.tp.(stateSnapshotter); !ok {
-		return false
-	}
-	if p.ipf != nil {
-		if _, ok := p.ipf.(stateSnapshotter); !ok {
-			return false
-		}
-	}
-	return p.hier.Checkpointable()
-}
-
-// Checkpoint serializes the pipeline's warmed state. It requires a drained
-// pipeline — no in-flight uops — which holds at warm-up and interval
-// boundaries of sampled runs.
-func (p *Pipeline) Checkpoint() (Checkpoint, error) {
-	if p.robCount != 0 || p.ftqLen != 0 || p.decqLen != 0 || p.sqLen != 0 {
-		return Checkpoint{}, fmt.Errorf("cpu: checkpoint requires a drained pipeline")
-	}
-	if !p.Checkpointable() {
-		return Checkpoint{}, fmt.Errorf("cpu: configuration %q has components without snapshot support", p.cfg.Name)
-	}
-	w := &snap.Writer{}
-	w.Mark(snapPipeline)
-	w.U64(p.cycle)
-	w.U64(p.seq)
-	w.U64(p.retired)
-	w.U64(p.curLine)
-	w.U64(p.curLineAt)
-	w.U64(p.insertLine)
-	w.U64(p.insertLineAt)
-	w.U64(p.sampleSalt)
-	p.pred.(stateSnapshotter).Snapshot(w)
-	p.tp.(stateSnapshotter).Snapshot(w)
-	p.hier.Snapshot(w)
-	w.Bool(p.tlbs != nil)
-	if p.tlbs != nil {
-		p.tlbs.Snapshot(w)
-	}
-	w.Bool(p.ipf != nil)
-	if p.ipf != nil {
-		p.ipf.(stateSnapshotter).Snapshot(w)
-	}
-	return Checkpoint{Consumed: p.retired, Cycle: p.cycle, State: w.Bytes()}, nil
-}
-
-// RestoreCheckpoint loads a checkpoint into a freshly constructed pipeline
-// whose configuration matches the checkpoint's warm-relevant parameters
-// (Config.WarmIdentity); geometry mismatches are detected and reported.
-func (p *Pipeline) RestoreCheckpoint(c Checkpoint) error {
-	if !p.Checkpointable() {
-		return fmt.Errorf("cpu: configuration %q has components without snapshot support", p.cfg.Name)
-	}
-	r := snap.NewReader(c.State)
-	r.Expect(snapPipeline)
-	p.cycle = r.U64()
-	p.seq = r.U64()
-	p.retired = r.U64()
-	p.curLine = r.U64()
-	p.curLineAt = r.U64()
-	p.insertLine = r.U64()
-	p.insertLineAt = r.U64()
-	p.sampleSalt = r.U64()
-	p.pred.(stateSnapshotter).Restore(r)
-	p.tp.(stateSnapshotter).Restore(r)
-	p.hier.Restore(r)
-	hasTLBs := r.Bool()
-	if r.Err() == nil && hasTLBs != (p.tlbs != nil) {
-		r.Failf("snapshot geometry mismatch: TLB presence")
-	}
-	if p.tlbs != nil {
-		p.tlbs.Restore(r)
-	}
-	hasIPF := r.Bool()
-	if r.Err() == nil && hasIPF != (p.ipf != nil) {
-		r.Failf("snapshot geometry mismatch: iprefetcher presence")
-	}
-	if p.ipf != nil {
-		p.ipf.(stateSnapshotter).Restore(r)
-	}
-	return r.Done()
-}
-
-// WarmTo functionally warms the first n instructions of src under the same
-// warm policy as a sampled run's warm-up phase and returns the resulting
-// checkpoint. The pipeline is left positioned to continue (Run semantics
-// from instruction n onward), so a caller can both publish the checkpoint
-// and keep simulating.
-func (p *Pipeline) WarmTo(src champtrace.Source, n uint64) (Checkpoint, error) {
-	if p.cfg.Cores > 1 {
-		return Checkpoint{}, fmt.Errorf("cpu: configuration %q has Cores=%d; checkpoints cover single-core state only and would silently mis-restore a multi-core system", p.cfg.Name, p.cfg.Cores)
-	}
-	if !p.Checkpointable() {
-		return Checkpoint{}, fmt.Errorf("cpu: configuration %q has components without snapshot support", p.cfg.Name)
-	}
-	if err := p.la.init(src); err != nil {
-		return Checkpoint{}, err
-	}
-	if err := p.warmPrefix(n); err != nil {
-		return Checkpoint{}, err
-	}
-	return p.Checkpoint()
-}
-
-// RunFrom resumes simulation from a checkpoint: it discards ckpt.Consumed
-// instructions from the fresh source (conversion only — the state they
-// built is in the checkpoint), restores the warmed state, and simulates the
-// remainder exactly as Run would after its warm-up phase. For a sampled
-// configuration, RunFrom(src, ckpt, max) with a checkpoint taken at warmup
-// returns stats identical to Run(src, warmup, max) — the checkpoint-resume
-// conformance oracle proves it.
-func (p *Pipeline) RunFrom(src champtrace.Source, ckpt Checkpoint, maxInstructions uint64) (Stats, error) {
-	if p.cfg.Cores > 1 {
-		return Stats{}, fmt.Errorf("cpu: configuration %q has Cores=%d; checkpoints cover single-core state only and would silently mis-restore a multi-core system", p.cfg.Name, p.cfg.Cores)
-	}
-	if err := p.la.init(src); err != nil {
-		return Stats{}, err
-	}
-	for i := uint64(0); i < ckpt.Consumed; i++ {
-		if _, _, err := p.la.pop(); err == io.EOF {
-			return Stats{}, fmt.Errorf("cpu: trace shorter than checkpoint prefix (%d)", ckpt.Consumed)
-		} else if err != nil {
-			return Stats{}, err
-		}
-	}
-	if err := p.RestoreCheckpoint(ckpt); err != nil {
-		return Stats{}, err
-	}
-	if p.cfg.SamplePeriod > 0 {
-		return p.sampleLoop(maxInstructions)
-	}
-	return p.runExactBody(0, maxInstructions)
 }

@@ -610,3 +610,16 @@ func (h *Hierarchy) ResetStats() {
 		h.LLC.ResetStats()
 	}
 }
+
+// ValidTags returns the tags of all valid lines in set order; the
+// functional-warming equivalence tests compare the warmed and detailed
+// cache images through it.
+func (c *Cache) ValidTags() []uint64 {
+	var out []uint64
+	for i := range c.lines {
+		if c.lines[i].valid {
+			out = append(out, c.lines[i].tag)
+		}
+	}
+	return out
+}

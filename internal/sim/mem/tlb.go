@@ -176,3 +176,15 @@ func (h *TLBHierarchy) ResetStats() {
 	h.DTLB.ResetStats()
 	h.STLB.ResetStats()
 }
+
+// ValidVPNs returns the virtual page numbers of all valid entries in set
+// order, for the warming equivalence tests.
+func (t *TLB) ValidVPNs() []uint64 {
+	var out []uint64
+	for i := range t.entries {
+		if t.entries[i].valid {
+			out = append(out, t.entries[i].vpn)
+		}
+	}
+	return out
+}

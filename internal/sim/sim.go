@@ -97,42 +97,3 @@ func Run(src champtrace.Source, cfg Config, warmup, maxInstructions uint64) (Sta
 	}
 	return p.Run(src, warmup, maxInstructions)
 }
-
-// Checkpoint is a compact serialized snapshot of warmed microarchitectural
-// state, resumable into any configuration sharing the producing
-// configuration's WarmIdentity.
-type Checkpoint = cpu.Checkpoint
-
-// Checkpointable reports whether cfg's components all support the snapshot
-// codec — i.e. whether WarmCheckpoint can succeed for it. The standard
-// models qualify; IPC-1 models carrying a stateful instruction prefetcher
-// without snapshot support do not.
-func Checkpointable(cfg Config) bool {
-	p, err := cpu.New(cfg)
-	if err != nil {
-		return false
-	}
-	return p.Checkpointable()
-}
-
-// WarmCheckpoint functionally warms the first n instructions of src under
-// cfg's warm policy and returns the resulting checkpoint.
-func WarmCheckpoint(src champtrace.Source, cfg Config, n uint64) (Checkpoint, error) {
-	p, err := cpu.New(cfg)
-	if err != nil {
-		return Checkpoint{}, err
-	}
-	return p.WarmTo(src, n)
-}
-
-// RunFrom simulates src under cfg resuming from ckpt: the checkpointed
-// prefix is discarded from src (conversion only), the warmed state is
-// restored, and simulation proceeds exactly as Run would after its warm-up.
-// The checkpoint must come from a configuration with the same WarmIdentity.
-func RunFrom(src champtrace.Source, cfg Config, ckpt Checkpoint, maxInstructions uint64) (Stats, error) {
-	p, err := cpu.New(cfg)
-	if err != nil {
-		return Stats{}, err
-	}
-	return p.RunFrom(src, ckpt, maxInstructions)
-}

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"strings"
 	"testing"
 
 	"tracerebase/internal/champtrace"
@@ -225,37 +224,5 @@ func TestTLBPressure(t *testing.T) {
 	if stWith.IPC() >= stWithout.IPC() {
 		t.Errorf("translation stalls should cost IPC: %.3f (TLB) vs %.3f (ideal)",
 			stWith.IPC(), stWithout.IPC())
-	}
-}
-
-// TestMultiCoreCheckpointRejected is the regression test for the
-// checkpoint/multi-core interaction: the single-core gob snapshot format
-// cannot represent an N-core system, so every checkpoint entry point must
-// refuse a Cores>1 configuration with a pointed error instead of silently
-// mis-restoring one core's state.
-func TestMultiCoreCheckpointRejected(t *testing.T) {
-	instrs := gen(t, synth.PublicProfile(synth.ComputeInt, 0), 2000)
-	recs, _, err := core.ConvertAll(cvp.NewSliceSource(instrs), core.OptionsAll())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := ConfigDevelop(champtrace.RulesPatched)
-	cfg.Cores = 2
-	if Checkpointable(cfg) {
-		t.Error("multi-core config reported checkpointable")
-	}
-	if _, err := WarmCheckpoint(champtrace.NewSliceSource(recs), cfg, 500); err == nil {
-		t.Error("WarmCheckpoint accepted a multi-core config")
-	} else if !strings.Contains(err.Error(), "single-core") {
-		t.Errorf("WarmCheckpoint error is not pointed at the multi-core cause: %v", err)
-	}
-	if _, err := RunFrom(champtrace.NewSliceSource(recs), cfg, Checkpoint{}, 0); err == nil {
-		t.Error("RunFrom accepted a multi-core config")
-	} else if !strings.Contains(err.Error(), "single-core") {
-		t.Errorf("RunFrom error is not pointed at the multi-core cause: %v", err)
-	}
-	// The plain single-core entry point must refuse it too.
-	if _, err := Run(champtrace.NewSliceSource(recs), cfg, 0, 0); err == nil {
-		t.Error("single-core Run accepted Cores=2")
 	}
 }
