@@ -80,9 +80,11 @@ func (ex *executed) failures() []error {
 func (ex *executed) err() error { return errors.Join(ex.failures()...) }
 
 // traceInput is a trace's input: its generated instructions, produced at
-// most once, by the first missed cell that needs them, and dropped as soon
-// as no class of the trace can read them again. With a slab store only the
-// fallback generates them: the trace's slabs come from one streamed pass.
+// most once, by the first missed cell that needs them (generate), and
+// dropped as soon as no class of the trace can read them again. With a
+// slab store the trace's slabs come from one streamed pass, and only a
+// slab the pass could not leave in the store is written from them. A
+// co-schedule's workloads are traces too (RunMultiSweep).
 type traceInput struct {
 	once   sync.Once
 	instrs []cvp.Instruction
@@ -91,14 +93,25 @@ type traceInput struct {
 	users atomic.Int32
 	// left counts the trace's cells still to finish, for Progress.
 	left atomic.Int32
-	// classes are the trace's classes with a missed cell. With a slab
-	// store, the first of them to acquire its records runs pass, which
-	// converts their missing slabs (convertTrace); passErr is its
-	// generation error.
-	classes []*classInput
+	// opts holds the converter options of the trace's classes with a
+	// missed cell. With a slab store, the first of them to acquire its
+	// records runs pass, which converts their missing slabs
+	// (convertTrace); passErr is its generation error.
+	opts    []core.Options
 	pass    sync.Once
 	passErr error
 }
+
+// generate returns the trace's n instructions of p, generating them on
+// the first call.
+func (tr *traceInput) generate(p *synth.Profile, n int) ([]cvp.Instruction, error) {
+	tr.once.Do(func() { tr.instrs, tr.err = generateBatch(*p, n) })
+	return tr.instrs, tr.err
+}
+
+// genErr returns the trace's generation error, from its slab pass or its
+// whole generation, once the input that hit it has returned.
+func (tr *traceInput) genErr() error { return cmp.Or(tr.passErr, tr.err) }
 
 // unuse gives up one class's claim on the instructions; the last claim
 // drops them. A slab or in-memory class gives its claim up once it has
@@ -307,20 +320,15 @@ func (c *SweepConfig) execute(profiles []synth.Profile, cells []cell) *executed 
 	for _, in := range classes {
 		in.tr = &traces[in.trace]
 		in.tr.users.Add(1)
-		in.tr.classes = append(in.tr.classes, in)
+		in.tr.opts = append(in.tr.opts, in.opts)
 	}
 	forEach(len(misses), c.Parallelism, func(k int) {
 		i := misses[k]
 		cl := &cells[i]
 		p := &profiles[cl.trace]
-		tr := &traces[cl.trace]
 		in := classes[classOf[i]]
-		generate := func() ([]cvp.Instruction, error) {
-			tr.once.Do(func() { tr.instrs, tr.err = generateBatch(*p, c.Instructions) })
-			return tr.instrs, tr.err
-		}
 		compute := func() (Result, error) {
-			src, conv, cleanup, err := c.input(p, in, generate)
+			src, conv, cleanup, err := c.input(p, in)
 			if err != nil {
 				return Result{}, err
 			}
@@ -348,7 +356,7 @@ func (c *SweepConfig) execute(profiles []synth.Profile, cells []cell) *executed 
 		finish(cl.trace)
 	})
 	for ti := range traces {
-		if err := cmp.Or(traces[ti].passErr, traces[ti].err); err != nil {
+		if err := traces[ti].genErr(); err != nil {
 			ex.genErrs[ti] = fmt.Errorf("experiments: generate %s: %w", profiles[ti].Name, err)
 		}
 	}
@@ -364,9 +372,10 @@ func (c *SweepConfig) execute(profiles []synth.Profile, cells []cell) *executed 
 // into memory: for `-exp all -step 17` with every store off on 2 vCPU, 89
 // against 90–94 MB at -parallel 1 and 119–121 against 125–143 MB at
 // -parallel 2, at the same wall time.
-func (c *SweepConfig) input(p *synth.Profile, in *classInput, generate func() ([]cvp.Instruction, error)) (champtrace.Source, func() core.Stats, func(), error) {
+func (c *SweepConfig) input(p *synth.Profile, in *classInput) (champtrace.Source, func() core.Stats, func(), error) {
+	tr := in.tr
 	if c.Slabs == nil && in.cells == 1 {
-		instrs, err := generate()
+		instrs, err := tr.generate(p, c.Instructions)
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -374,25 +383,39 @@ func (c *SweepConfig) input(p *synth.Profile, in *classInput, generate func() ([
 		return cs, cs.Stats, func() { cs.Close() }, nil
 	}
 	in.once.Do(func() {
-		defer in.tr.unuse()
+		defer tr.unuse()
 		if c.Slabs != nil {
-			tr := in.tr
-			tr.pass.Do(func() { tr.passErr = c.convertTrace(p, tr.classes) })
+			tr.pass.Do(func() { tr.passErr = c.convertTrace(p, tr.opts) })
 			if in.err = tr.passErr; in.err != nil {
 				return
 			}
-			// The pass left the class's slab on disk, unless it failed or
-			// was evicted since; then the store converts again, from the
-			// generated instructions. A slab's persisted converter
-			// statistics equal the streaming converter's, which the
-			// slab-transparency oracle enforces.
-			in.slab, in.err = acquireSlab(c.Slabs, p, in.opts, c.Instructions, generate)
-			if in.err == nil {
-				in.conv = in.slab.Conv()
+			// The pass left the class's slab on disk, unless its write
+			// failed or the slab was evicted or damaged since: then it is
+			// written again, from the generated instructions. A slab's
+			// persisted converter statistics equal the streaming
+			// converter's, which the slab-transparency oracle enforces.
+			key := slabKey(p, in.opts, c.Instructions)
+			sl, ok := c.Slabs.Get(key)
+			if !ok {
+				// The store warns about and counts a failed write.
+				err := c.Slabs.Write(key, func(emit func([]champtrace.Instruction) error) (core.Stats, error) {
+					instrs, err := tr.generate(p, c.Instructions)
+					if err != nil {
+						return core.Stats{}, err
+					}
+					return core.ConvertEmit(cvp.NewValuesSource(instrs), in.opts, emit)
+				})
+				if err == nil {
+					sl, ok = c.Slabs.Get(key)
+				}
 			}
-			return
+			if ok {
+				in.slab, in.conv = sl, sl.Conv()
+				return
+			}
+			// Still no slab: convert into memory, as without a store.
 		}
-		instrs, err := generate()
+		instrs, err := tr.generate(p, c.Instructions)
 		if err != nil {
 			in.err = err
 			return

@@ -18,11 +18,9 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 
 	"tracerebase/internal/champtrace"
 	"tracerebase/internal/core"
-	"tracerebase/internal/cvp"
 	"tracerebase/internal/resultcache"
 	"tracerebase/internal/sim"
 	"tracerebase/internal/synth"
@@ -151,12 +149,13 @@ func canonicalize(workloads []synth.Profile) (canon []synth.Profile, canonOf []i
 	return canon, canonOf
 }
 
-// runMultiVariant converts each canonical workload under v and simulates
-// the co-schedule in lockstep. generate fills instrs (indexed canonically,
-// read-only once filled) on first call; with a slab store it is deferred
-// into the store misses, so a fully slab-warm co-schedule never
-// synthesizes at all. Two cores running the same workload share one slab.
-func runMultiVariant(canon []synth.Profile, generate func() error, instrs [][]cvp.Instruction, v Variant, simCfg sim.Config, cfg *SweepConfig) (CoSchedResult, error) {
+// runMultiVariant simulates one variant of the co-schedule in lockstep,
+// with classes[i] the class of the canonical workload on core i (nil for
+// an idle core): each core reads its records through the executor's input,
+// from a slab or from a converter streaming over the workload's
+// instructions. Two cores running the same workload read one slab through
+// two sources.
+func (c *SweepConfig) runMultiVariant(canon []synth.Profile, classes []*classInput, simCfg sim.Config) (CoSchedResult, error) {
 	n := len(canon)
 	srcs := make([]champtrace.Source, n)
 	convStats := make([]func() core.Stats, n)
@@ -166,38 +165,21 @@ func runMultiVariant(canon []synth.Profile, generate func() error, instrs [][]cv
 			c()
 		}
 	}()
-	if cfg.Slabs == nil {
-		if err := generate(); err != nil {
-			return CoSchedResult{}, err
-		}
-	}
-	for i := range canon {
-		if canon[i].Name == "" {
+	for i, in := range classes {
+		if in == nil {
 			continue // idle slot
 		}
-		if cfg.Slabs != nil {
-			sl, err := acquireSlab(cfg.Slabs, &canon[i], v.Opts, cfg.Instructions,
-				func() ([]cvp.Instruction, error) {
-					if err := generate(); err != nil {
-						return nil, err
-					}
-					return instrs[i], nil
-				})
-			if err != nil {
-				return CoSchedResult{}, err
+		src, conv, cleanup, err := c.input(&canon[i], in)
+		if err != nil {
+			if in.tr.genErr() != nil {
+				err = fmt.Errorf("experiments: generate %s: %w", canon[i].Name, err)
 			}
-			conv := sl.Conv()
-			srcs[i] = sl.Source()
-			convStats[i] = func() core.Stats { return conv }
-			cleanups = append(cleanups, sl.Release)
-			continue
+			return CoSchedResult{}, err
 		}
-		cs := core.NewConverterSource(cvp.NewValuesSource(instrs[i]), v.Opts)
-		srcs[i] = cs
-		convStats[i] = cs.Stats
-		cleanups = append(cleanups, func() { cs.Close() })
+		srcs[i], convStats[i] = src, conv
+		cleanups = append(cleanups, cleanup)
 	}
-	stats, err := sim.RunMulti(srcs, simCfg, cfg.Warmup, 0)
+	stats, err := sim.RunMulti(srcs, simCfg, c.Warmup, 0)
 	if err != nil {
 		return CoSchedResult{}, err
 	}
@@ -219,6 +201,14 @@ func runMultiVariant(canon []synth.Profile, generate func() error, instrs [][]cv
 // (empty Name = idle core) and must have exactly cfg.Cores entries.
 // Variants run on a bounded worker pool; results are assembled
 // deterministically, so the output is byte-identical at any parallelism.
+//
+// Like the cell executor, it is result-first: every variant is looked up
+// in MultiCache before any input work. Each active canonical workload of
+// a missed variant is then a trace to the executor's input, and each
+// (workload, missed variant) pair a single-cell class of it, so a
+// workload's missing slabs come from one streamed pass and, without a
+// slab store, its instructions are generated once and dropped after its
+// last variant.
 func RunMultiSweep(scenario string, workloads []synth.Profile, cfg SweepConfig) (MultiTraceResult, error) {
 	if err := cfg.fill(); err != nil {
 		return MultiTraceResult{}, err
@@ -234,46 +224,56 @@ func RunMultiSweep(scenario string, workloads []synth.Profile, cfg SweepConfig) 
 	}
 	canon, canonOf := canonicalize(workloads)
 
-	// Generate each active canonical workload once, shared read-only
-	// across the variant workers.
-	var genOnce sync.Once
-	var genErr error
-	instrs := make([][]cvp.Instruction, len(canon))
-	generate := func() error {
-		genOnce.Do(func() {
-			for i := range canon {
-				if canon[i].Name == "" {
-					continue
-				}
-				instrs[i], genErr = canon[i].GenerateBatch(cfg.Instructions)
-				if genErr != nil {
-					genErr = fmt.Errorf("experiments: generate %s: %w", canon[i].Name, genErr)
-					return
-				}
-			}
-		})
-		return genErr
-	}
-
 	nv := len(cfg.Variants)
+	simCfgs := make([]sim.Config, nv)
+	keys := make([]resultcache.Key, nv)
 	canonRes := make([]CoSchedResult, nv)
+	traces := make([]traceInput, len(canon))
+	classes := make([][]*classInput, nv)
+	var misses []int
+	for vi, v := range cfg.Variants {
+		simCfgs[vi] = cfg.multiSimConfigFor(v.Opts)
+		if cfg.MultiCache != nil {
+			keys[vi] = multiCacheKey(canon, v.Opts, simCfgs[vi], cfg.Instructions, cfg.Warmup)
+			var ok bool
+			if canonRes[vi], ok = cfg.MultiCache.Lookup(keys[vi]); ok {
+				continue
+			}
+		}
+		misses = append(misses, vi)
+		classes[vi] = make([]*classInput, len(canon))
+		for i := range canon {
+			if canon[i].Name == "" {
+				continue
+			}
+			tr := &traces[i]
+			in := &classInput{trace: i, tr: tr, opts: v.Opts, cells: 1}
+			in.left.Store(1)
+			tr.users.Add(1)
+			tr.opts = append(tr.opts, v.Opts)
+			classes[vi][i] = in
+		}
+	}
 	cellErrs := make([]error, nv)
-	forEach(nv, cfg.Parallelism, func(vi int) {
-		v := cfg.Variants[vi]
-		simCfg := cfg.multiSimConfigFor(v.Opts)
+	forEach(len(misses), cfg.Parallelism, func(k int) {
+		vi := misses[k]
 		compute := func() (CoSchedResult, error) {
-			return runMultiVariant(canon, generate, instrs, v, simCfg, &cfg)
+			return cfg.runMultiVariant(canon, classes[vi], simCfgs[vi])
 		}
 		var res CoSchedResult
 		var err error
 		if cfg.MultiCache != nil {
-			key := multiCacheKey(canon, v.Opts, simCfg, cfg.Instructions, cfg.Warmup)
-			res, err = cfg.MultiCache.GetOrCompute(key, compute)
+			res, err = cfg.MultiCache.GetOrCompute(keys[vi], compute)
 		} else {
 			res, err = compute()
 		}
+		for _, in := range classes[vi] {
+			if in != nil {
+				in.release()
+			}
+		}
 		if err != nil {
-			cellErrs[vi] = fmt.Errorf("experiments: %s/%s: %w", scenario, v.Name, err)
+			cellErrs[vi] = fmt.Errorf("experiments: %s/%s: %w", scenario, cfg.Variants[vi].Name, err)
 			return
 		}
 		canonRes[vi] = res

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"tracerebase/internal/synth"
@@ -44,6 +45,29 @@ func TestRunMultiSweepParallelismDeterministic(t *testing.T) {
 			if cs.Instructions == 0 || cs.Cycles == 0 {
 				t.Fatalf("%s: core %d retired nothing: %+v", name, i, cs)
 			}
+		}
+	}
+}
+
+// TestMultiSweepGenerationError: a co-schedule whose workload cannot be
+// generated fails every variant with an error naming that workload, with
+// and without a slab store.
+func TestMultiSweepGenerationError(t *testing.T) {
+	workloads := []synth.Profile{{Name: "bad"}, synth.PublicProfile(synth.Crypto, 0)}
+	cfg := testSweepConfig()
+	cfg.Cores = len(workloads)
+	cfg.Variants = figureVariants(VariantNone, VariantAll)
+	for _, slabs := range []bool{false, true} {
+		c := cfg
+		if slabs {
+			c.Slabs = testSlabStore(t, t.TempDir())
+		}
+		res, err := RunMultiSweep("bad", workloads, c)
+		if err == nil || strings.Count(err.Error(), "generate bad") != len(cfg.Variants) {
+			t.Fatalf("slab store %v: error %v, want one naming the workload per variant", slabs, err)
+		}
+		if len(res.Results) != 0 {
+			t.Fatalf("slab store %v: %d results from a failed co-schedule", slabs, len(res.Results))
 		}
 	}
 }

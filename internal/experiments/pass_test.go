@@ -67,13 +67,13 @@ func TestColdSweepStreamsEachTrace(t *testing.T) {
 	gens, streams := countGenerations(t), countStreams(t)
 	cold := cfg
 	cold.Slabs = testSlabStore(t, t.TempDir())
-	var classes []*classInput
+	var opts []core.Options
 	for _, v := range cfg.Variants {
-		classes = append(classes, &classInput{opts: v.Opts})
+		opts = append(opts, v.Opts)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	err = cold.convertTrace(&profiles[0], classes)
+	err = cold.convertTrace(&profiles[0], opts)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
@@ -122,9 +122,64 @@ func TestColdSweepStreamsEachTrace(t *testing.T) {
 	}
 }
 
+// TestMultiSweepStreamsSlabs: a cold co-schedule into an empty slab store
+// takes its slabs from the executor's streamed pass, one generation per
+// active workload and none whole; a second run over the same store maps
+// every slab and generates nothing. Both match the store-off output.
+func TestMultiSweepStreamsSlabs(t *testing.T) {
+	workloads := []synth.Profile{
+		synth.PublicProfile(synth.Server, 1),
+		{}, // idle
+		synth.PublicProfile(synth.Crypto, 0),
+	}
+	cfg := testSweepConfig()
+	cfg.Cores = len(workloads)
+	cfg.Variants = figureVariants(VariantNone, VariantBranch, VariantAll)
+	want, err := RunMultiSweep("mix", workloads, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	gens, streams := countGenerations(t), countStreams(t)
+	cold := cfg
+	cold.Slabs = testSlabStore(t, dir)
+	got, err := RunMultiSweep("mix", workloads, cold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("cold slab co-schedule differs from the store-off run")
+	}
+	slabs := uint64(2 * len(cfg.Variants))
+	if g, s := gens.Load(), streams.Load(); g != 0 || s != 2 {
+		t.Fatalf("%d whole-trace generations and %d streamed, want 0 and 2", g, s)
+	}
+	if st := cold.Slabs.Stats(); st.Converts != slabs || st.Misses != slabs || st.Hits != 0 {
+		t.Fatalf("cold store stats %+v, want %d misses and conversions, no hit", st, slabs)
+	}
+
+	streams.Store(0)
+	warm := cfg
+	warm.Slabs = testSlabStore(t, dir)
+	if got, err = RunMultiSweep("mix", workloads, warm); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("warm slab co-schedule differs from the store-off run")
+	}
+	if g, s := gens.Load(), streams.Load(); g != 0 || s != 0 {
+		t.Fatalf("warm run: %d whole-trace generations and %d streamed, want none", g, s)
+	}
+	if st := warm.Slabs.Stats(); st.Converts != 0 || st.Misses != 0 || st.DiskHits != slabs {
+		t.Fatalf("warm store stats %+v, want %d disk hits and no conversion", st, slabs)
+	}
+}
+
 // TestSlabPassEviction: a slab evicted between the pass and its class's
-// first cell is converted again through the store, and the output is the
-// store-off output. (internal/tracestore's TestSweepSlabWriteFailure
+// first cell is written again from the trace's generated instructions (or,
+// evicted again before it maps, converted into memory), and the output is
+// the store-off output. (internal/tracestore's TestSweepSlabWriteFailure
 // covers a write that fails during the pass.)
 func TestSlabPassEviction(t *testing.T) {
 	profiles := []synth.Profile{

@@ -53,24 +53,6 @@ func slabKey(p *synth.Profile, opts core.Options, instructions int) tracestore.K
 		Sum()
 }
 
-// acquireSlab returns a referenced slab for (p, opts, instructions),
-// converting — and, through generate, synthesizing — the trace only on a
-// store miss. The conversion streams its records into the slab file batch
-// by batch. generate may be invoked twice per actual conversion (the store
-// reconverts into memory after a failed write), so the caller memoizes it;
-// the returned instruction slab is read-only during conversion. The caller
-// must Release the slab.
-func acquireSlab(store *SlabStore, p *synth.Profile, opts core.Options, instructions int, generate func() ([]cvp.Instruction, error)) (*tracestore.Slab, error) {
-	return store.GetOrStream(slabKey(p, opts, instructions),
-		func(emit func([]champtrace.Instruction) error) (core.Stats, error) {
-			instrs, err := generate()
-			if err != nil {
-				return core.Stats{}, err
-			}
-			return core.ConvertEmit(cvp.NewValuesSource(instrs), opts, emit)
-		})
-}
-
 // traceStream is a trace's streamed generator, as the slab pass reads it.
 type traceStream interface {
 	cvp.BatchSource
@@ -81,21 +63,21 @@ type traceStream interface {
 // is a variable so tests can count and fail generations.
 var streamTrace = func(p synth.Profile, n int) (traceStream, error) { return p.Stream(n) }
 
-// convertTrace is the slab path's once-per-trace pass. It lists the classes
-// whose slab is not in the store's index, generates the trace once as a
-// stream, and converts it into each listed class's slab file on a
-// goroutine per class (fanOut), so the slab path never holds a whole
-// generated trace. It returns the generation error, if any. A class whose
-// conversion or write failed, or whose slab is evicted before its first
-// cell maps it, has no slab: acquireSlab converts it again from the
+// convertTrace is the slab path's once-per-trace pass. It lists the
+// converter options in classes whose slab is not in the store's index,
+// generates the trace once as a stream, and converts it into each listed
+// slab file on a goroutine per slab (fanOut), so the slab path never holds
+// a whole generated trace. It returns the generation error, if any. A
+// slab whose conversion or write failed, or that is evicted before its
+// class's first cell maps it, is missing: input writes it again from the
 // trace's memoized instructions.
-func (c *SweepConfig) convertTrace(p *synth.Profile, classes []*classInput) error {
+func (c *SweepConfig) convertTrace(p *synth.Profile, classes []core.Options) error {
 	var keys []tracestore.Key
 	var opts []core.Options
-	for _, in := range classes {
-		if key := slabKey(p, in.opts, c.Instructions); !c.Slabs.Has(key) {
+	for _, o := range classes {
+		if key := slabKey(p, o, c.Instructions); !c.Slabs.Has(key) {
 			keys = append(keys, key)
-			opts = append(opts, in.opts)
+			opts = append(opts, o)
 		}
 	}
 	if len(keys) == 0 {

@@ -156,12 +156,15 @@ type SweepConfig struct {
 	// type differs). nil recomputes every multi-core cell.
 	MultiCache *MultiCache
 	// Slabs, when non-nil, serves converted instruction slabs by content
-	// address: conversion is hoisted out of the per-variant loop into
+	// address, to single-core cells and co-schedule cores alike:
+	// conversion is hoisted out of the per-variant loop into
 	// converter-option equivalence classes (convert once per trace and
-	// class, feed every cell in the class from one shared read-only slab),
-	// and warm slabs load zero-copy from disk instead of reconverting. A
-	// class's slab stays mapped only while its cells run.
-	// nil reproduces the streaming-conversion engine exactly.
+	// class, feed every cell in the class from one shared read-only slab).
+	// A trace's missing slabs are written in one streamed pass over its
+	// generation, and warm slabs load zero-copy from disk instead of
+	// reconverting. A class's slab stays mapped only while its cells run;
+	// a class whose slab cannot be written converts into memory. nil
+	// reproduces the streaming-conversion engine exactly.
 	Slabs *SlabStore
 	// Exp, when non-nil, is the append-only columnar experiment store:
 	// every cell the sweep computes (or serves from the result cache) is

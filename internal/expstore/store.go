@@ -248,14 +248,14 @@ func (s *Store) acquire(ref *blockRef) (*blockRef, error) {
 			return
 		}
 		defer f.Close()
-		data, err := mapFile(f, ref.size)
+		data, err := resultcache.MapFile(f, ref.size)
 		if err != nil {
 			ref.mapErr = err
 			return
 		}
 		h, bm, metas, v, err := openBlock(data)
 		if err != nil {
-			unmapFile(data)
+			resultcache.UnmapFile(data)
 			if v == blockCorrupt {
 				ref.mapErr = fmt.Errorf("%w (removed)", err)
 				s.mu.Lock()
@@ -533,7 +533,7 @@ func (s *Store) Close() error {
 	s.mu.Unlock()
 	for _, ref := range refs {
 		if ref.data != nil {
-			unmapFile(ref.data)
+			resultcache.UnmapFile(ref.data)
 			ref.data = nil
 		}
 	}

@@ -10,8 +10,9 @@
 // The store keeps its files in a resultcache.Shards directory, as the
 // result cache does: SHA-256 content keys, sharded
 // v<version>/<hh>/<key>.slab paths, atomic temp-file+rename writes and
-// mtime-seeded LRU eviction under a byte budget. On top it adds mmap,
-// residency and single-flight conversion. Unlike resultcache entries, slabs are keyed WITHOUT the build
+// mtime-seeded LRU eviction under a byte budget. On top it adds mmap and
+// reference-counted residency: a slab goes in through Write and comes out
+// through Get. Unlike resultcache entries, slabs are keyed WITHOUT the build
 // fingerprint — they survive rebuilds — so correctness is gated by explicit
 // algorithm versions (core.ConverterVersion, synth.GeneratorVersion,
 // FormatVersion) that must be bumped when output can change, backstopped by

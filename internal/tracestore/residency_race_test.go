@@ -7,11 +7,11 @@ import (
 )
 
 // TestEvictionDoesNotUnmapInUseSlab churns other keys against a
-// referenced slab: every churned conversion maps a slab and its Release
-// unmaps it again, and a tiny MaxBytes forces disk LRU eviction of the
-// held slab's file as well. Throughout, a reader hammers the held mapping
-// — under -race and on real mmap pages, an unmap of an in-use slab would
-// fault or corrupt the read. The contract: neither other keys' unmaps nor
+// referenced slab: every churned Write pushes the disk index past a tiny
+// MaxBytes, forcing LRU eviction of the held slab's file as well, and the
+// Get after it maps the churned slab, whose Release unmaps it again.
+// Throughout, a reader hammers the held mapping — under -race and on real
+// mmap pages, an unmap of an in-use slab would fault or corrupt the read. The contract: neither other keys' unmaps nor
 // disk eviction touch a held slab; its mapping lives until the last
 // Release.
 func TestEvictionDoesNotUnmapInUseSlab(t *testing.T) {
@@ -45,8 +45,9 @@ func TestEvictionDoesNotUnmapInUseSlab(t *testing.T) {
 		}()
 	}
 
-	// Churn: every conversion maps and unmaps a slab of its own and pushes
-	// the disk index past its bound.
+	// Churn: every Write pushes the disk index past its bound. Under that
+	// bound another worker's Write may evict the slab before its Get maps
+	// it, so a Get may miss.
 	var churn sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		churn.Add(1)
@@ -54,10 +55,14 @@ func TestEvictionDoesNotUnmapInUseSlab(t *testing.T) {
 			defer churn.Done()
 			for i := 0; i < 25; i++ {
 				salt := uint64(w*1000 + i)
-				sl, err := s.GetOrConvert(testKey(2000+salt), converterFor(300, salt, nil))
-				if err != nil {
-					t.Errorf("churn GetOrConvert: %v", err)
+				key := testKey(2000 + salt)
+				if err := s.Write(key, streamerFor(300, 100, salt, 0, nil)); err != nil {
+					t.Errorf("churn Write: %v", err)
 					return
+				}
+				sl, ok := s.Get(key)
+				if !ok {
+					continue
 				}
 				if sl.Len() != 300 {
 					t.Errorf("churn slab has %d records, want 300", sl.Len())

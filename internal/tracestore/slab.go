@@ -5,13 +5,13 @@ import (
 
 	"tracerebase/internal/champtrace"
 	"tracerebase/internal/core"
+	"tracerebase/internal/resultcache"
 )
 
 // Slab is one converted trace, held by at least one caller. Its record
-// slice is a read-only view into an mmap'd file (or, after a write
-// failure, a plain heap slab) and stays valid until Release drops the last
-// reference — a slab is never unmapped under a simulation that still
-// holds it. Being mapped is not being resident: a Source gives back the
+// slice is a read-only view into an mmap'd file and stays valid until
+// Release drops the last reference — a slab is never unmapped under a
+// simulation that still holds it. Being mapped is not being resident: a Source gives back the
 // pages it has read, so a simulating cell keeps about dropStep bytes of
 // its slab in the process's memory, not the whole file.
 type Slab struct {
@@ -20,12 +20,8 @@ type Slab struct {
 	conv  core.Stats
 	recs  []champtrace.Instruction
 
-	// data is the raw mapping backing recs; nil for heap slabs.
+	// data is the raw mapping backing recs.
 	data []byte
-	// heap marks a slab whose records live on the Go heap: the store
-	// failed to write or map its file and converted it a second time,
-	// into memory. Nothing recycles them; the last Release drops them.
-	heap bool
 
 	// The fields below are guarded by store.mu.
 	refs int32
@@ -41,16 +37,13 @@ type Slab struct {
 func (s *Slab) Records() []champtrace.Instruction { return s.recs }
 
 // Source returns a reader over the slab's records from the first, for one
-// front-to-back pass; each call returns an independent reader. A reader of
-// a mapped slab drops each dropStep of pages from the process's mapping
-// once it has passed it (dropPages). A dropped page faults back in from
+// front-to-back pass; each call returns an independent reader. A reader
+// drops each dropStep of pages from the process's mapping once it has
+// passed it (dropPages). A dropped page faults back in from
 // the page cache unchanged, so readers at different offsets, or a file
 // evicted meanwhile, still read what was written. The reader must not be
 // used past Release.
 func (s *Slab) Source() champtrace.Source {
-	if s.data == nil {
-		return champtrace.NewValuesSource(s.recs)
-	}
 	return &slabSource{recs: s.recs, data: s.data}
 }
 
@@ -64,8 +57,8 @@ const dropStep = 1 << 20
 // a step: recordSize divides it).
 const dropRecords = dropStep / recordSize
 
-// slabSource reads a mapped slab's records in order, dropping the pages
-// of each finished dropStep.
+// slabSource reads a slab's records in order, dropping the pages of each
+// finished dropStep.
 type slabSource struct {
 	recs []champtrace.Instruction
 	data []byte // the mapping; recs is a view into it
@@ -119,12 +112,9 @@ func (s *Slab) Release() {
 	}
 }
 
-// free releases the backing memory of a slab no caller can reach: an
-// unindexed one, or a duplicate mapping that lost an install race.
+// free releases the mapping of a slab no caller can reach: an unindexed
+// one, or a duplicate mapping that lost an install race.
 func (s *Slab) free() {
-	if s.data != nil {
-		unmapFile(s.data)
-		s.data = nil
-	}
-	s.recs = nil
+	resultcache.UnmapFile(s.data)
+	s.data, s.recs = nil, nil
 }

@@ -114,14 +114,14 @@ func TestSourcesInterleave(t *testing.T) {
 	want := testRecords(n, 91)
 	s := mustOpen(t, Config{Dir: t.TempDir()})
 	key := testKey(91)
-	sl, err := s.GetOrStream(key, streamerFor(n, 4096, 91, 0, nil))
-	if err != nil {
-		t.Fatalf("GetOrStream: %v", err)
+	if err := s.Write(key, streamerFor(n, 4096, 91, 0, nil)); err != nil {
+		t.Fatalf("Write: %v", err)
+	}
+	sl, ok := s.Get(key)
+	if !ok {
+		t.Fatal("written slab not loaded")
 	}
 	defer sl.Release()
-	if sl.data == nil {
-		t.Fatal("slab served from heap, not from its file")
-	}
 	a, b := sl.Source(), sl.Source()
 	var gotA, gotB []champtrace.Instruction
 	next := func(src champtrace.Source, got *[]champtrace.Instruction) bool {
@@ -152,26 +152,10 @@ func TestSourcesInterleave(t *testing.T) {
 	}
 }
 
-// TestHeapSlabSource pins that a heap slab's Source reads its Records.
-func TestHeapSlabSource(t *testing.T) {
-	s := mustOpen(t, Config{Dir: t.TempDir()})
-	s.wrapTemp = func(f tempFile) tempFile { return &faultyTemp{tempFile: f, failWrite: 0} }
-	sl, err := s.GetOrStream(testKey(92), streamerFor(500, 100, 92, 0, nil))
-	if err != nil {
-		t.Fatalf("GetOrStream: %v", err)
-	}
-	defer sl.Release()
-	if !sl.heap {
-		t.Fatal("want a heap slab after the failed write")
-	}
-	if got := drain(t, sl.Source()); !reflect.DeepEqual(got, sl.Records()) {
-		t.Fatal("heap slab Source differs from Records")
-	}
-}
-
 // TestMapFailureIsPlainMiss pins that a slab file that cannot be mapped is
 // a miss, not corruption: it is warned with the map error, left on disk,
-// and not counted as corrupt, so it loads once mapping works again.
+// and not counted as corrupt or as a miss, so it loads once mapping works
+// again.
 func TestMapFailureIsPlainMiss(t *testing.T) {
 	const n = 300
 	var warned []string
@@ -179,9 +163,12 @@ func TestMapFailureIsPlainMiss(t *testing.T) {
 		warned = append(warned, fmt.Sprintf(f, a...))
 	}})
 	key := testKey(93)
-	seed, err := s.GetOrStream(key, streamerFor(n, 100, 93, 0, nil))
-	if err != nil {
-		t.Fatalf("GetOrStream: %v", err)
+	if err := s.Write(key, streamerFor(n, 100, 93, 0, nil)); err != nil {
+		t.Fatalf("Write: %v", err)
+	}
+	seed, ok := s.Get(key) // the first load counts with the Write's miss
+	if !ok {
+		t.Fatal("written slab not loaded")
 	}
 	seed.Release()
 	errMap := errors.New("injected map failure")
@@ -190,8 +177,8 @@ func TestMapFailureIsPlainMiss(t *testing.T) {
 		sl.Release()
 		t.Fatal("Get served a slab it could not map")
 	}
-	if st := s.Stats(); st.Corrupt != 0 || st.Misses != 2 {
-		t.Fatalf("stats after the failed map: %+v, want 0 corrupt and 2 misses", st)
+	if st := s.Stats(); st.Corrupt != 0 || st.Misses != 1 {
+		t.Fatalf("stats after the failed map: %+v, want 0 corrupt and the Write's 1 miss", st)
 	}
 	if len(warned) != 1 || !strings.Contains(warned[0], errMap.Error()) || strings.Contains(warned[0], "corrupt") {
 		t.Fatalf("warnings %q, want one naming the map error", warned)

@@ -1,7 +1,6 @@
 package tracestore
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -37,28 +36,28 @@ const DefaultMaxBytes = 8 << 30
 // Stats counts store activity since Open. The json names are the ones
 // `rebase -bench-json` records.
 type Stats struct {
-	// Hits = MemHits + DiskHits. Misses each trigger one conversion.
+	// Hits = MemHits + DiskHits, counted by Get. Misses counts the slabs
+	// Write converted, one per call: a Get that finds nothing counts
+	// nothing, since its caller writes the slab next or does without it.
 	Hits   uint64 `json:"hits"`
 	Misses uint64 `json:"misses"`
 	// MemHits were served from a mapping another caller still holds,
 	// DiskHits by mapping (and validating) a slab file.
 	MemHits  uint64 `json:"mem_hits"`
 	DiskHits uint64 `json:"disk_hits"`
-	// SharedWaits counts single-flight joins on an in-progress conversion.
-	SharedWaits uint64 `json:"shared_waits"`
-	// Converts counts the misses that ran the caller's convert function
-	// (a write failure runs it again, into memory, without counting it
-	// twice); ConvertErrors counts the ones that failed (never stored).
+	// Converts counts the Writes that ran the caller's convert function,
+	// as Misses does; ConvertErrors counts the ones whose conversion
+	// failed (never stored).
 	Converts      uint64 `json:"converts"`
 	ConvertErrors uint64 `json:"convert_errors"`
 	// Corrupt counts slab files that failed validation and were discarded;
-	// each also shows up as a miss and a reconversion.
+	// a caller that writes the slab again adds a miss and a conversion.
 	Corrupt uint64 `json:"corrupt"`
 	// Evictions counts slab files removed by the disk LRU bound.
 	Evictions uint64 `json:"evictions"`
-	// WriteErrors counts slab write failures. GetOrStream still serves
-	// the slab, converted a second time into memory, so a read-only store
-	// degrades gracefully; Write leaves it to a later GetOrStream.
+	// WriteErrors counts failed slab writes. Write returns the failure and
+	// leaves no slab, so a read-only store degrades to whatever its caller
+	// does without one.
 	WriteErrors uint64 `json:"write_errors"`
 	// BytesMapped counts slab file bytes mapped from disk; BytesWritten
 	// counts slab file bytes persisted.
@@ -70,12 +69,10 @@ type Stats struct {
 	PeakMappedBytes uint64 `json:"peak_mapped_bytes"`
 }
 
-// StreamFunc converts a slab's records on a store miss, handing them in
-// order to emit in batches of any size; core.ConvertEmit is one. emit has
-// copied a batch out when it returns, so the converter may reuse it. An
-// error from emit must stop the conversion and be returned unchanged. The
-// store runs a StreamFunc a second time, into memory, when its write
-// fails, so both runs must yield the same records.
+// StreamFunc converts a slab's records for Write, handing them in order to
+// emit in batches of any size; core.ConvertEmit is one. emit has copied a
+// batch out when it returns, so the converter may reuse it. An error from
+// emit must stop the conversion and be returned unchanged.
 type StreamFunc func(emit func([]champtrace.Instruction) error) (core.Stats, error)
 
 // ConvertFunc builds a slab's records in one slice, for GetOrConvert. The
@@ -88,11 +85,6 @@ type ConvertFunc func(scratch []champtrace.Instruction) ([]champtrace.Instructio
 type tempFile interface {
 	io.Writer
 	io.WriterAt
-}
-
-type flight struct {
-	done chan struct{}
-	err  error
 }
 
 // Store is the content-addressed slab store. A slab stays mapped exactly
@@ -117,9 +109,8 @@ type Store struct {
 	// test seam for map failures: production leaves it nil.
 	mapHook func(f *os.File, size int64) ([]byte, error)
 
-	mu      sync.Mutex
-	open    map[Key]*Slab // referenced slabs
-	flights map[Key]*flight
+	mu   sync.Mutex
+	open map[Key]*Slab // referenced slabs
 	// fresh holds the keys Write persisted that no load has mapped yet:
 	// their first load counts with the Write's miss, not as a hit.
 	fresh  map[Key]bool
@@ -128,10 +119,10 @@ type Store struct {
 }
 
 // Open opens (creating if needed) the slab store rooted at cfg.Dir. The
-// slabs already on disk are indexed at first use, not here: Get,
-// GetOrStream (or GetOrConvert) and DiskBytes build the index, which also
-// removes leftover temp files from interrupted writes; files that do not
-// look like slabs are ignored.
+// slabs already on disk are indexed at first use, not here: Get, Has,
+// Write and DiskBytes build the index, which also removes leftover temp
+// files from interrupted writes; files that do not look like slabs are
+// ignored.
 func Open(cfg Config) (*Store, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("tracestore: empty store directory")
@@ -151,7 +142,6 @@ func Open(cfg Config) (*Store, error) {
 		maxBytes: cfg.MaxBytes,
 		warn:     cfg.Warn,
 		open:     make(map[Key]*Slab),
-		flights:  make(map[Key]*flight),
 		fresh:    make(map[Key]bool),
 	}, nil
 }
@@ -201,14 +191,12 @@ func (s *Store) Has(key Key) bool {
 }
 
 // Get returns the slab for key if another caller holds it or it is valid
-// on disk, taking a reference the caller must Release. It never converts
-// and never joins an in-flight conversion. A store whose index cannot be
-// built counts every Get as a miss (index warns once).
+// on disk, taking a reference the caller must Release. It never converts:
+// a slab goes into the store only through Write. A miss is not counted
+// (see Stats.Misses), nor is a store whose index cannot be built, which
+// misses every Get (index warns once).
 func (s *Store) Get(key Key) (*Slab, bool) {
 	if _, err := s.index(); err != nil {
-		s.mu.Lock()
-		s.stats.Misses++
-		s.mu.Unlock()
 		return nil, false
 	}
 	s.mu.Lock()
@@ -220,98 +208,32 @@ func (s *Store) Get(key Key) (*Slab, bool) {
 		return sl, true
 	}
 	s.mu.Unlock()
-	if sl := s.loadDisk(key); sl != nil {
-		return sl, true
-	}
-	s.mu.Lock()
-	s.stats.Misses++
-	s.mu.Unlock()
-	return nil, false
+	sl := s.loadDisk(key)
+	return sl, sl != nil
 }
 
-// GetOrConvert is GetOrStream for a converter that returns the whole
-// record slice: the slice is written as one batch.
+// GetOrConvert returns the slab for key, converting and writing it on a
+// miss: Get, else Write of convert's records as one batch, then Get. A
+// failed conversion or write is returned, and so is a written slab that
+// another writer evicted before the Get could map it.
 func (s *Store) GetOrConvert(key Key, convert ConvertFunc) (*Slab, error) {
-	return s.GetOrStream(key, func(emit func([]champtrace.Instruction) error) (core.Stats, error) {
+	if sl, ok := s.Get(key); ok {
+		return sl, nil
+	}
+	err := s.Write(key, func(emit func([]champtrace.Instruction) error) (core.Stats, error) {
 		recs, conv, err := convert(nil)
 		if err != nil {
 			return conv, err
 		}
 		return conv, emit(recs)
 	})
-}
-
-// GetOrStream returns the slab for key, converting and persisting it on a
-// miss. Concurrent calls for the same key share one conversion
-// (single-flight); each successful return carries its own reference, which
-// the caller must Release. A failed conversion is returned to every waiter
-// and is not stored, so a later call retries; so is a failure to build the
-// store's index.
-func (s *Store) GetOrStream(key Key, convert StreamFunc) (*Slab, error) {
-	if _, err := s.index(); err != nil {
-		return nil, err
-	}
-	for {
-		s.mu.Lock()
-		if sl, ok := s.open[key]; ok {
-			sl.refs++
-			s.stats.Hits++
-			s.stats.MemHits++
-			s.mu.Unlock()
-			return sl, nil
-		}
-		if fl, ok := s.flights[key]; ok {
-			s.stats.SharedWaits++
-			s.mu.Unlock()
-			<-fl.done
-			if fl.err != nil {
-				return nil, fl.err
-			}
-			// Retry from the top to take a reference of our own: a mem hit
-			// while the leader still holds the slab, else a disk hit on the
-			// file it persisted.
-			continue
-		}
-		fl := &flight{done: make(chan struct{})}
-		s.flights[key] = fl
-		s.mu.Unlock()
-
-		sl, err := s.fill(key, convert)
-		s.mu.Lock()
-		delete(s.flights, key)
-		s.mu.Unlock()
-		fl.err = err
-		close(fl.done)
-		if err != nil {
-			return nil, err
-		}
-		return sl, nil
-	}
-}
-
-// fill resolves a leader's lookup: disk, then convert+persist. The
-// returned slab carries the leader's reference and has been installed.
-func (s *Store) fill(key Key, convert StreamFunc) (*Slab, error) {
-	if sl := s.loadDisk(key); sl != nil {
-		return sl, nil
-	}
-
-	sl, err := s.persist(key, convert)
 	if err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	if prior, ok := s.open[key]; ok {
-		// A concurrent Get mapped the just-persisted file before we
-		// installed the conversion result: adopt its mapping, drop ours.
-		prior.refs++
-		s.mu.Unlock()
-		sl.free()
-		return prior, nil
+	if sl, ok := s.Get(key); ok {
+		return sl, nil
 	}
-	s.install(sl)
-	s.mu.Unlock()
-	return sl, nil
+	return nil, fmt.Errorf("tracestore: slab %s written but not loadable", s.EntryPath(key))
 }
 
 // loadDisk maps and validates the slab file for key, installs it, and takes
@@ -361,7 +283,7 @@ func (s *Store) loadDisk(key Key) *Slab {
 			}
 		}
 		if sl == nil {
-			unmapFile(data)
+			resultcache.UnmapFile(data)
 		}
 	}
 	f.Close()
@@ -382,8 +304,8 @@ func (s *Store) loadDisk(key Key) *Slab {
 	hit := !s.fresh[key]
 	delete(s.fresh, key)
 	if prior, ok := s.open[key]; ok {
-		// Lost a race with another loader (Get vs GetOrStream): share the
-		// installed mapping, drop ours.
+		// Lost a race with a concurrent Get: share the installed mapping,
+		// drop ours.
 		prior.refs++
 		if hit {
 			s.stats.Hits++
@@ -408,7 +330,7 @@ func (s *Store) mapSlab(f *os.File, size int64) ([]byte, error) {
 	if s.mapHook != nil {
 		return s.mapHook(f, size)
 	}
-	return mapFile(f, size)
+	return resultcache.MapFile(f, size)
 }
 
 // install (mu held) indexes sl under the caller's first reference, so
@@ -420,76 +342,22 @@ func (s *Store) install(sl *Slab) {
 	s.stats.PeakMappedBytes = max(s.stats.PeakMappedBytes, s.mapped)
 }
 
-// persist converts the slab for key into its file (see write) and maps
-// it: the served records are the shared read-only file pages, and the
-// conversion never holds the whole record array. A conversion error is
-// counted and returned. After a failed write, or when the file cannot be
-// mapped, the slab is served from a second conversion into memory.
-func (s *Store) persist(key Key, convert StreamFunc) (*Slab, error) {
-	conv, count, size, err := s.write(key, convert)
-	if errors.Is(err, errWriteFailed) {
-		return s.convertHeap(key, convert)
-	}
-	if err != nil {
-		return nil, err
-	}
-	// Serve the file mapping, so every consumer of this slab — including
-	// other processes — shares one set of page-cache pages.
-	f, err := os.Open(s.EntryPath(key))
-	if err != nil {
-		return s.convertHeap(key, convert) // evicted already?; no warning needed
-	}
-	data, err := s.mapSlab(f, size)
-	f.Close()
-	if err != nil {
-		return s.convertHeap(key, convert)
-	}
-	s.mu.Lock()
-	s.stats.BytesMapped += uint64(size)
-	s.mu.Unlock()
-	return &Slab{
-		store: s,
-		key:   key,
-		conv:  conv,
-		recs:  viewRecords(data, count),
-		data:  data,
-	}, nil
-}
-
-// Write converts the slab for key into its file, as GetOrStream does on a
-// miss, but neither maps nor serves it. It is the entry point for a caller
-// that converts several slabs from one pass over their input and maps each
-// at its first use: it counts a miss and a conversion, and the first load
-// of the written slab then counts with that miss, not as a hit. A
-// conversion error is counted and returned with nothing left on disk. A
-// failed write is warned, counted and returned; the slab is then absent,
-// and a later GetOrStream converts it again.
+// Write converts the slab for key straight into a temp file as convert
+// emits it and publishes the file through the index (rename, so the slab
+// appears whole or not at all), without mapping it: a caller maps it with
+// Get at its first use. The file is written front to back — a zero header
+// page, the records and meta under a running data CRC, the footer — and
+// the real header last, at offset 0, since it carries the record count.
+//
+// Write is the only way into the store. It counts a miss and a conversion,
+// and the first load of the written slab then counts with that miss, not
+// as a hit. A conversion error is counted and returned with nothing left
+// on disk. A failure of any write step, the rename included, is warned,
+// counted and returned; the slab is then absent.
 func (s *Store) Write(key Key, convert StreamFunc) error {
 	if _, err := s.index(); err != nil {
 		return err
 	}
-	if _, _, _, err := s.write(key, convert); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	s.fresh[key] = true
-	s.mu.Unlock()
-	return nil
-}
-
-// errWriteFailed wraps the cause of a failed slab write.
-var errWriteFailed = errors.New("tracestore: slab write failed")
-
-// write converts the slab for key straight into a temp file as convert
-// emits it and publishes the file through the built index (rename, so the
-// slab appears whole or not at all). The file is written front to back — a
-// zero header page, the records and meta under a running data CRC, the
-// footer — and the real header last, at offset 0, since it carries the
-// record count. It counts a miss and a conversion, and returns the
-// converter statistics, the record count and the file size. A conversion
-// error is counted and returned with nothing left on disk. A failure of any write step, the rename included, is
-// warned, counted, and returned wrapping errWriteFailed.
-func (s *Store) write(key Key, convert StreamFunc) (conv core.Stats, count int, size int64, err error) {
 	s.mu.Lock()
 	s.stats.Misses++
 	s.stats.Converts++
@@ -505,7 +373,9 @@ func (s *Store) write(key Key, convert StreamFunc) (conv core.Stats, count int, 
 			return err
 		}
 		var crc uint32
+		var count int
 		var writeErr error
+		var conv core.Stats
 		conv, convErr = convert(func(batch []champtrace.Instruction) error {
 			if writeErr != nil {
 				return writeErr
@@ -539,7 +409,7 @@ func (s *Store) write(key Key, convert StreamFunc) (conv core.Stats, count int, 
 		return err
 	})
 	if err != nil && convErr == nil {
-		err = fmt.Errorf("%w: %v", errWriteFailed, err)
+		err = fmt.Errorf("tracestore: slab write failed: %v", err)
 		s.warn("%v", err)
 	}
 	s.mu.Lock()
@@ -547,28 +417,15 @@ func (s *Store) write(key Key, convert StreamFunc) (conv core.Stats, count int, 
 	switch {
 	case convErr != nil:
 		s.stats.ConvertErrors++
-		return conv, 0, 0, convErr
+		return convErr
 	case err != nil:
 		s.stats.WriteErrors++
-		return conv, 0, 0, err
+		return err
 	}
 	s.stats.BytesWritten += uint64(size)
 	s.stats.Evictions += uint64(evicted)
-	return conv, count, size, nil
-}
-
-// convertHeap runs convert again, into memory, for a slab the store could
-// not write or map.
-func (s *Store) convertHeap(key Key, convert StreamFunc) (*Slab, error) {
-	var recs []champtrace.Instruction
-	conv, err := convert(func(batch []champtrace.Instruction) error {
-		recs = append(recs, batch...)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Slab{store: s, key: key, conv: conv, recs: recs, heap: true}, nil
+	s.fresh[key] = true
+	return nil
 }
 
 // Close exists for symmetry with the other stores: the store keeps no

@@ -9,7 +9,6 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -106,10 +105,9 @@ func TestConvertPersistReload(t *testing.T) {
 	if sl.Conv() != testConv(500) {
 		t.Fatalf("conv stats differ: %+v", sl.Conv())
 	}
-	// The served slab must be the file mapping, not the conversion heap
-	// slab: that is the zero-copy contract.
+	// The served slab is the file mapping: that is the zero-copy contract.
 	if sl.data == nil {
-		t.Fatalf("slab served from heap, not from the written file")
+		t.Fatalf("slab not served from the written file")
 	}
 	sl.Release()
 	st := s.Stats()
@@ -185,37 +183,6 @@ func TestEmptySlab(t *testing.T) {
 		t.Fatalf("empty slab did not round-trip (ok=%v)", ok)
 	}
 	sl2.Release()
-}
-
-func TestSingleFlight(t *testing.T) {
-	s := mustOpen(t, Config{Dir: t.TempDir()})
-	key := testKey(3)
-	var calls atomic.Int64
-	slow := func(scratch []champtrace.Instruction) ([]champtrace.Instruction, core.Stats, error) {
-		calls.Add(1)
-		return append(scratch[:0], testRecords(100, 0)...), testConv(100), nil
-	}
-	const n = 8
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sl, err := s.GetOrConvert(key, slow)
-			if err != nil {
-				t.Errorf("GetOrConvert: %v", err)
-				return
-			}
-			if sl.Len() != 100 {
-				t.Errorf("short slab: %d", sl.Len())
-			}
-			sl.Release()
-		}()
-	}
-	wg.Wait()
-	if calls.Load() != 1 {
-		t.Fatalf("converter ran %d times, want 1", calls.Load())
-	}
 }
 
 func TestConvertErrorNotStored(t *testing.T) {
@@ -496,43 +463,8 @@ func TestDiskLRUEviction(t *testing.T) {
 	}
 }
 
-func TestWriteFailureDegradesToHeap(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, Config{Dir: dir})
-	// Make the store root read-only so CreateTemp fails.
-	if err := os.Chmod(s.Dir(), 0o555); err != nil {
-		t.Fatalf("chmod: %v", err)
-	}
-	defer os.Chmod(s.Dir(), 0o755)
-	if f, err := os.CreateTemp(s.Dir(), "probe-*"); err == nil {
-		f.Close()
-		os.Remove(f.Name())
-		t.Skip("running as a user unaffected by directory permissions")
-	}
-
-	var warned []string
-	s.warn = func(f string, a ...any) { warned = append(warned, fmt.Sprintf(f, a...)) }
-	sl, err := s.GetOrConvert(testKey(40), converterFor(100, 40, nil))
-	if err != nil {
-		t.Fatalf("GetOrConvert must degrade, got error: %v", err)
-	}
-	if !sl.heap {
-		t.Fatalf("expected heap fallback slab")
-	}
-	if !reflect.DeepEqual(sl.Records(), testRecords(100, 40)) {
-		t.Fatalf("heap slab records differ")
-	}
-	sl.Release()
-	if st := s.Stats(); st.WriteErrors != 1 {
-		t.Fatalf("stats: %+v", st)
-	}
-	if len(warned) == 0 {
-		t.Fatalf("write failure was silent")
-	}
-}
-
-// TestPersistStreamsRecords pins that a miss streams its records into the
-// slab file: persisting a 100k-record slab (6.4 MB of records) from a
+// TestPersistStreamsRecords pins that Write streams its records into the
+// slab file: writing a 100k-record slab (6.4 MB of records) from a
 // converter that reuses one batch buffer allocates less than an eighth of
 // the record bytes, so the store never builds the record array.
 func TestPersistStreamsRecords(t *testing.T) {
@@ -544,14 +476,18 @@ func TestPersistStreamsRecords(t *testing.T) {
 	convert := streamerFor(n, 4096, 60, 0, nil)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	sl, err := s.GetOrStream(testKey(60), convert)
+	err := s.Write(testKey(60), convert)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sl, ok := s.Get(testKey(60))
+	if !ok {
+		t.Fatal("written slab not loaded")
+	}
 	defer sl.Release()
-	if sl.data == nil || sl.Len() != n {
-		t.Fatalf("slab not served from its file (heap %v, %d records)", sl.heap, sl.Len())
+	if sl.Len() != n {
+		t.Fatalf("slab has %d records, want %d", sl.Len(), n)
 	}
 	for i, rec := range sl.Records() {
 		if rec != testRecord(i, 60) {
@@ -571,13 +507,14 @@ var errInjected = errors.New("injected write failure")
 // faultyTemp is a tempFile that fails one step of a slab write: the Write
 // numbered failWrite (0 is the placeholder header), or the header WriteAt
 // when failAt is set. A failing Write writes half its bytes first, as a
-// full disk would. beforeAt, when set, runs at the header WriteAt.
+// full disk would. beforeAt, when set, runs at the header WriteAt with the
+// header's bytes.
 type faultyTemp struct {
 	tempFile
 	writes    int
 	failWrite int
 	failAt    bool
-	beforeAt  func()
+	beforeAt  func(header []byte)
 }
 
 func (f *faultyTemp) Write(p []byte) (int, error) {
@@ -591,7 +528,7 @@ func (f *faultyTemp) Write(p []byte) (int, error) {
 
 func (f *faultyTemp) WriteAt(p []byte, off int64) (int, error) {
 	if f.beforeAt != nil {
-		f.beforeAt()
+		f.beforeAt(p)
 	}
 	if f.failAt {
 		return 0, errInjected
@@ -613,9 +550,9 @@ func storeFiles(dir string) []string {
 
 // TestWriteFailureEveryStage fails each step of a slab write in turn,
 // without relying on file permissions (which root ignores). Every failure
-// must serve the slab from memory exactly as a clean conversion would,
-// warn once, count one write error, and leave no temp file; the same store
-// must then persist the slab, which a later lookup maps from disk.
+// must return an error, warn once, count one write error and no conversion
+// error, and leave no file; the same store must then write the slab, which
+// a later Get maps from disk exactly as a clean conversion wrote it.
 func TestWriteFailureEveryStage(t *testing.T) {
 	const n, batch = 300, 100 // writes: header page, 3 batches, meta, footer
 	want := testRecords(n, 70)
@@ -630,8 +567,8 @@ func TestWriteFailureEveryStage(t *testing.T) {
 		{"header", func(*testing.T, *Store, Key) *faultyTemp { return &faultyTemp{failWrite: -1, failAt: true} }},
 		{"rename", func(t *testing.T, s *Store, key Key) *faultyTemp {
 			// A non-empty directory in the slab's place makes the rename
-			// fail; it appears after the leader's disk lookup.
-			return &faultyTemp{failWrite: -1, beforeAt: func() {
+			// fail; it appears once the slab's bytes are written.
+			return &faultyTemp{failWrite: -1, beforeAt: func([]byte) {
 				if err := os.MkdirAll(filepath.Join(s.EntryPath(key), "blocker"), 0o755); err != nil {
 					t.Error(err)
 				}
@@ -650,19 +587,14 @@ func TestWriteFailureEveryStage(t *testing.T) {
 				ft.tempFile = f
 				return ft
 			}
-			sl, err := s.GetOrStream(key, streamerFor(n, batch, 70, 0, nil))
-			if err != nil {
-				t.Fatalf("GetOrStream must degrade, got error: %v", err)
+			if err := s.Write(key, streamerFor(n, batch, 70, 0, nil)); err == nil {
+				t.Fatal("failed write returned no error")
 			}
-			if !sl.heap || sl.data != nil {
-				t.Fatalf("want a heap slab after the failed write")
-			}
-			if !reflect.DeepEqual(sl.Records(), want) || !reflect.DeepEqual(sl.Conv(), testConv(n)) {
-				t.Fatalf("heap slab differs from a clean conversion")
-			}
-			sl.Release()
-			if st := s.Stats(); st.WriteErrors != 1 || st.Converts != 1 || st.ConvertErrors != 0 || st.BytesWritten != 0 {
+			if st := s.Stats(); st.WriteErrors != 1 || st.Misses != 1 || st.Converts != 1 || st.ConvertErrors != 0 || st.BytesWritten != 0 {
 				t.Fatalf("stats: %+v", st)
+			}
+			if s.Has(key) {
+				t.Fatal("failed write left the slab indexed")
 			}
 			if len(warned) != 1 || !strings.Contains(warned[0], "slab write failed") {
 				t.Fatalf("want one write-failure warning, got %q", warned)
@@ -671,26 +603,21 @@ func TestWriteFailureEveryStage(t *testing.T) {
 				t.Fatalf("files left behind: %v", files)
 			}
 
-			// Healthy again: the next miss persists the slab, and a later
-			// lookup maps it from disk.
+			// Healthy again: the next Write persists the slab, and Get maps
+			// it from disk.
 			s.wrapTemp = nil
 			if err := os.RemoveAll(s.EntryPath(key)); err != nil {
 				t.Fatal(err)
 			}
-			sl, err = s.GetOrConvert(key, converterFor(n, 70, nil))
-			if err != nil {
+			if err := s.Write(key, streamerFor(n, batch, 70, 0, nil)); err != nil {
 				t.Fatal(err)
 			}
-			if sl.data == nil {
-				t.Fatalf("healthy store served the slab from memory")
-			}
-			sl.Release()
 			sl, ok := s.Get(key)
 			if !ok {
 				t.Fatalf("persisted slab not found")
 			}
 			defer sl.Release()
-			if st := s.Stats(); st.DiskHits != 1 || st.WriteErrors != 1 {
+			if st := s.Stats(); st.WriteErrors != 1 || st.Misses != 2 || st.Converts != 2 || st.BytesMapped == 0 {
 				t.Fatalf("stats after the healthy write: %+v", st)
 			}
 			if !reflect.DeepEqual(sl.Records(), want) || sl.Conv() != testConv(n) {
@@ -707,7 +634,7 @@ func TestConvertErrorAfterEmittedBatches(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, Config{Dir: dir})
 	boom := errors.New("converter exploded mid-trace")
-	_, err := s.GetOrStream(testKey(80), streamerFor(300, 100, 80, 2, boom))
+	err := s.Write(testKey(80), streamerFor(300, 100, 80, 2, boom))
 	if !errors.Is(err, boom) {
 		t.Fatalf("want the conversion error, got %v", err)
 	}
@@ -770,8 +697,8 @@ func TestIndexAtFirstUse(t *testing.T) {
 
 // TestWriteThenLoad: Write persists a slab without mapping it and counts
 // one miss and one conversion; the first load counts with that miss, and
-// only later loads are hits. A failed Write warns, counts a write error,
-// leaves no file, and the next GetOrStream converts the slab again.
+// only later loads are hits. A failed Write warns, counts a write error
+// and leaves no file, and the next Write converts the slab again.
 func TestWriteThenLoad(t *testing.T) {
 	const n, batch = 300, 100
 	dir := t.TempDir()
@@ -789,12 +716,9 @@ func TestWriteThenLoad(t *testing.T) {
 	if !s.Has(key) {
 		t.Fatal("written slab is not indexed")
 	}
-	sl, err := s.GetOrStream(key, func(func([]champtrace.Instruction) error) (core.Stats, error) {
-		t.Fatal("written slab converted again")
-		return core.Stats{}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	sl, ok := s.Get(key)
+	if !ok {
+		t.Fatal("written slab not loaded")
 	}
 	if !reflect.DeepEqual(sl.Records(), testRecords(n, 90)) || sl.Conv() != testConv(n) {
 		t.Fatal("written slab differs from its conversion")
@@ -803,7 +727,7 @@ func TestWriteThenLoad(t *testing.T) {
 	if st := s.Stats(); st.Hits != 0 || st.Misses != 1 || st.BytesMapped == 0 {
 		t.Fatalf("first load counted as a hit or a second miss: %+v", st)
 	}
-	sl, ok := s.Get(key)
+	sl, ok = s.Get(key)
 	if !ok {
 		t.Fatal("written slab not found")
 	}
@@ -823,9 +747,11 @@ func TestWriteThenLoad(t *testing.T) {
 		t.Fatalf("failed Write: stats %+v, %d warnings, indexed %v", st, len(warned), s.Has(key))
 	}
 	s.wrapTemp = nil
-	sl, err = s.GetOrStream(key, streamerFor(n, batch, 91, 0, nil))
-	if err != nil {
+	if err := s.Write(key, streamerFor(n, batch, 91, 0, nil)); err != nil {
 		t.Fatal(err)
+	}
+	if sl, ok = s.Get(key); !ok {
+		t.Fatal("rewritten slab not loaded")
 	}
 	sl.Release()
 	if st := s.Stats(); st.Converts != 3 || st.Misses != 3 || st.Hits != 1 {
