@@ -2,12 +2,14 @@ package tracerebase
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"tracerebase/internal/expstore"
 )
@@ -100,6 +102,23 @@ func TestCLIFrontEnd(t *testing.T) {
 			case code != 0 && (stdout != "" || !strings.Contains(stderr, tc.names)):
 				t.Errorf("rebase %q: stdout %q, stderr %q; want no output and an error naming %q", tc.args, stdout, stderr, tc.names)
 			}
+		}
+	})
+
+	// A daemon flag no job can run stops `rebase serve` at startup, naming
+	// the flag, instead of failing every job it later accepts.
+	t.Run("serve flags", func(t *testing.T) {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		cmd := exec.CommandContext(ctx, bin, "serve", "-parallel", "-1", "-addr", "127.0.0.1:0",
+			"-cache-dir", filepath.Join(dir, "serve_cache"), "-no-trace-store", "-no-exp-store")
+		var errBuf bytes.Buffer
+		cmd.Stderr = &errBuf
+		err := cmd.Run()
+		if ee, ok := err.(*exec.ExitError); ctx.Err() != nil || !ok || ee.ExitCode() != 1 ||
+			!strings.Contains(errBuf.String(), "-parallel") {
+			t.Fatalf("rebase serve -parallel -1: %v (timed out: %v), stderr %q; want exit 1 naming -parallel",
+				err, ctx.Err() != nil, errBuf.String())
 		}
 	})
 

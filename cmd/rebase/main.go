@@ -105,19 +105,14 @@ func main() {
 }
 
 func run() (code int) {
+	spec := requestFlags(flag.CommandLine)
 	var (
-		exp        = flag.String("exp", "all", "comma-separated experiments: table1, fig1..fig5, table2, table3, ablation, char, or all")
-		instrs     = flag.Int("instructions", 150000, "instructions per trace")
-		warmup     = flag.Uint64("warmup", 50000, "warm-up instructions per trace")
-		step       = flag.Int("step", 1, "use every step-th trace of each suite (1 = all)")
 		parallel   = flag.Int("parallel", 0, "concurrent simulations (0 = NumCPU)")
 		quiet      = flag.Bool("q", false, "suppress progress output")
-		jsonOut    = flag.Bool("json", false, "emit results as JSON instead of text")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file at exit")
 		benchJSON  = flag.String("bench-json", "", "write run timing and configuration as JSON to this file")
 		selftest   = flag.Bool("selftest", false, "run the conformance suite (positional args: trace files to validate)")
-		noSkip     = flag.Bool("no-skip", false, "disable event-horizon cycle skipping (results are identical; for verification and benchmarking)")
 		noCache    = flag.Bool("no-cache", false, "disable the result cache, which serves repeated (trace, variant, config) simulations")
 		cacheDir   = flag.String("cache-dir", "", "result cache directory (default $TRACEREBASE_CACHE_DIR or the user cache dir, e.g. ~/.cache/tracerebase)")
 
@@ -131,11 +126,6 @@ func run() (code int) {
 		coschedule = flag.String("coschedule", "", "comma-separated co-schedule scenarios to run on -cores cores: "+strings.Join(synth.CoScheduleSpecs(), ", "))
 		llcPolicy  = flag.String("llc-policy", "", "shared-LLC replacement policy for -coschedule runs (e.g. shared-srrip; default: the model's LLC policy)")
 		memBW      = flag.Uint64("mem-bandwidth", 0, "LLC<->DRAM port occupancy in cycles per access for -coschedule runs (0 = unlimited)")
-
-		sample       = flag.Bool("sample", false, "SMARTS-style interval sampling: short detailed intervals separated by functionally-warmed fast-forward gaps (several times faster; IPC carries a small sampling error, reported with a 95% CI)")
-		samplePeriod = flag.Uint64("sample-period", 12500, "sampled mode: instructions per sampling period (one detailed interval each)")
-		sampleDetail = flag.Uint64("sample-detail", 2500, "sampled mode: detailed instructions per interval (first half is unmeasured pipeline ramp)")
-		sampleWarm   = flag.Uint64("sample-warm", 2500, "sampled mode: fully-warmed instructions ahead of each interval (0 = warm whole gaps)")
 	)
 	flag.Parse()
 
@@ -156,31 +146,12 @@ func run() (code int) {
 		return fail("-%s does not apply to -selftest (it reads -step, -parallel, -q and trace files)", notSelftest)
 	}
 
-	// Reject nonsensical run shapes before any work starts: a warm-up
-	// consuming the whole run would leave every measurement region empty,
-	// and negative counts have no meaning.
-	if *instrs <= 0 {
-		return fail("-instructions must be positive (got %d)", *instrs)
-	}
-	if *warmup >= uint64(*instrs) {
-		return fail("-warmup %d >= -instructions %d leaves an empty measurement region", *warmup, *instrs)
+	// Reject nonsensical run shapes before any work starts.
+	if err := spec.ValidateFlags(); err != nil {
+		return fail("%v", err)
 	}
 	if *parallel < 0 {
 		return fail("-parallel must be >= 0 (got %d)", *parallel)
-	}
-	if *step < 1 {
-		return fail("-step must be >= 1 (got %d)", *step)
-	}
-	if err := report.ValidateExp(*exp); err != nil {
-		return fail("-exp: %v", err)
-	}
-	if *sample {
-		if *samplePeriod == 0 {
-			return fail("-sample-period must be positive")
-		}
-		if *sampleDetail == 0 || *sampleDetail >= *samplePeriod {
-			return fail("-sample-detail %d must be positive and below -sample-period %d", *sampleDetail, *samplePeriod)
-		}
 	}
 	if *cores < 1 {
 		return fail("-cores must be >= 1 (got %d)", *cores)
@@ -189,7 +160,7 @@ func run() (code int) {
 		if *cores < 2 {
 			return fail("-coschedule needs -cores >= 2 (got %d): co-scheduled scenarios only exist with neighbors", *cores)
 		}
-		if *sample {
+		if spec.Sample {
 			return fail("-sample is single-core only; multi-core co-schedules run in exact mode")
 		}
 	} else {
@@ -201,7 +172,7 @@ func run() (code int) {
 		}
 	}
 	for _, name := range []string{"sample-period", "sample-detail", "sample-warm"} {
-		if set[name] && !*sample {
+		if set[name] && !spec.Sample {
 			return fail("-%s needs -sample", name)
 		}
 	}
@@ -217,7 +188,7 @@ func run() (code int) {
 			log = nil
 		}
 		err := conformance.SelfTest(conformance.SelfTestConfig{
-			Suite:       report.Subsample(synth.PublicSuite(), *step),
+			Suite:       report.Subsample(synth.PublicSuite(), spec.Step),
 			Parallelism: *parallel,
 			TraceFiles:  flag.Args(),
 			Log:         log,
@@ -259,17 +230,7 @@ func run() (code int) {
 		}()
 	}
 
-	cfg := experiments.SweepConfig{
-		Instructions: *instrs,
-		Warmup:       *warmup,
-		Parallelism:  *parallel,
-		NoSkip:       *noSkip,
-	}
-	if *sample {
-		cfg.SamplePeriod = *samplePeriod
-		cfg.SampleDetail = *sampleDetail
-		cfg.SampleWarm = *sampleWarm
-	}
+	cfg := spec.SweepConfig(experiments.SweepConfig{Parallelism: *parallel})
 	// The slab store is independent of the result cache: -no-cache runs
 	// (which recompute every simulation) still skip generation and
 	// conversion when warm slabs exist. The experiment store records
@@ -297,7 +258,7 @@ func run() (code int) {
 				cfg.MultiCache = mc
 			}
 		}
-		return runCoSchedules(strings.Split(*coschedule, ","), cfg, *jsonOut, *quiet, *benchJSON, *exp, *step)
+		return runCoSchedules(strings.Split(*coschedule, ","), cfg, *spec, *quiet, *benchJSON)
 	}
 	if !*noCache {
 		cache, err := experiments.OpenResultCache(*cacheDir, 0)
@@ -320,12 +281,12 @@ func run() (code int) {
 
 	// The experiment composition itself lives in internal/report so the
 	// serve daemon renders byte-identical output for the same request.
-	out := report.Output{Text: os.Stdout, JSON: *jsonOut}
+	out := report.Output{Text: os.Stdout}
 	if !*quiet {
 		out.Log = os.Stderr
 	}
 	start := time.Now()
-	tel, err := report.Run(cfg, report.Spec{Exp: *exp, Step: *step}, out)
+	tel, err := report.Run(cfg, *spec, out)
 	if err != nil {
 		return fail("%v", err)
 	}
@@ -357,7 +318,7 @@ func run() (code int) {
 		fmt.Fprintf(os.Stderr, "total: %.1fs\n", elapsed.Seconds())
 	}
 	if *benchJSON != "" {
-		if err := writeBenchJSON(*benchJSON, *exp, *step, cfg, elapsed, skipCats, sampleCats, nil); err != nil {
+		if err := writeBenchJSON(*benchJSON, *spec, cfg, elapsed, skipCats, sampleCats, nil); err != nil {
 			return fail("bench-json: %v", err)
 		}
 	}
@@ -409,14 +370,14 @@ type benchSampleBlock struct {
 	Categories []report.SampleStat `json:"categories,omitempty"`
 }
 
-func writeBenchJSON(path, exp string, step int, cfg experiments.SweepConfig, elapsed time.Duration, skipCats []report.SkipStat, sampleCats []report.SampleStat, multi *benchMultiBlock) error {
+func writeBenchJSON(path string, req report.Spec, cfg experiments.SweepConfig, elapsed time.Duration, skipCats []report.SkipStat, sampleCats []report.SampleStat, multi *benchMultiBlock) error {
 	parallelism := cfg.Parallelism
 	if parallelism <= 0 {
 		parallelism = runtime.NumCPU()
 	}
 	rec := benchRecord{
-		Experiment:   exp,
-		Step:         step,
+		Experiment:   req.Exp,
+		Step:         req.Step,
 		Instructions: cfg.Instructions,
 		Warmup:       cfg.Warmup,
 		Parallelism:  parallelism,

@@ -10,13 +10,14 @@ import (
 	"time"
 
 	"tracerebase/internal/experiments"
+	"tracerebase/internal/report"
 	"tracerebase/internal/synth"
 )
 
 // runCoSchedules drives one RunMultiSweep per scenario and renders the
 // results (text or JSON), plus the same telemetry trailer as single-core
 // runs: per-core skip fractions, cache activity, wall clock, -bench-json.
-func runCoSchedules(specs []string, cfg experiments.SweepConfig, jsonOut, quiet bool, benchPath, expFlag string, step int) int {
+func runCoSchedules(specs []string, cfg experiments.SweepConfig, req report.Spec, quiet bool, benchPath string) int {
 	start := time.Now()
 	var all []experiments.MultiTraceResult
 	for _, spec := range specs {
@@ -36,10 +37,10 @@ func runCoSchedules(specs []string, cfg experiments.SweepConfig, jsonOut, quiet 
 		all = append(all, res)
 	}
 
-	if jsonOut {
-		report := experiments.NewJSONReport(cfg)
-		report.Multi = all
-		if err := report.Write(os.Stdout); err != nil {
+	if req.JSON {
+		doc := experiments.NewJSONReport(cfg)
+		doc.Multi = all
+		if err := doc.Write(os.Stdout); err != nil {
 			return fail("json: %v", err)
 		}
 	} else {
@@ -65,7 +66,7 @@ func runCoSchedules(specs []string, cfg experiments.SweepConfig, jsonOut, quiet 
 		fmt.Fprintf(os.Stderr, "total: %.1fs\n", elapsed.Seconds())
 	}
 	if benchPath != "" {
-		if err := writeBenchJSON(benchPath, expFlag, step, cfg, elapsed, nil, nil, multi); err != nil {
+		if err := writeBenchJSON(benchPath, req, cfg, elapsed, nil, nil, multi); err != nil {
 			return fail("bench-json: %v", err)
 		}
 	}

@@ -35,6 +35,9 @@ func runServe(args []string) int {
 		quiet      = fs.Bool("q", false, "suppress operational log output")
 	)
 	fs.Parse(args)
+	if *parallel < 0 {
+		return fail("serve: -parallel must be >= 0 (got %d)", *parallel)
+	}
 
 	log := io.Writer(os.Stderr)
 	if *quiet {

@@ -12,23 +12,15 @@ import (
 // runSubmit is the `rebase submit` subcommand: the daemon client. It
 // posts a job, follows the NDJSON event stream, writes the assembled
 // output to stdout (byte-identical to the batch CLI), and reports which
-// tier served it on stderr.
+// tier served it on stderr. It takes exactly the batch CLI's request
+// flags; the daemon checks the request.
 func runSubmit(args []string) int {
 	fs := flag.NewFlagSet("rebase submit", flag.ExitOnError)
+	spec := requestFlags(fs)
 	var (
-		baseURL      = fs.String("url", "http://127.0.0.1:8344", "daemon base URL")
-		exp          = fs.String("exp", "all", "experiment: table1, fig1..fig5, table2, table3, ablation, char, or all")
-		instrs       = fs.Int("instructions", 150000, "instructions per trace")
-		warmup       = fs.Uint64("warmup", 50000, "warm-up instructions per trace")
-		step         = fs.Int("step", 1, "use every step-th trace of each suite (1 = all)")
-		noSkip       = fs.Bool("no-skip", false, "disable event-horizon cycle skipping")
-		jsonOut      = fs.Bool("json", false, "request the JSON document instead of text")
-		sample       = fs.Bool("sample", false, "SMARTS-style interval sampling")
-		samplePeriod = fs.Uint64("sample-period", 12500, "sampled mode: instructions per sampling period")
-		sampleDetail = fs.Uint64("sample-detail", 2500, "sampled mode: detailed instructions per interval")
-		sampleWarm   = fs.Uint64("sample-warm", 2500, "sampled mode: fully-warmed instructions ahead of each interval")
-		status       = fs.Bool("status", false, "print the daemon status document and exit")
-		quiet        = fs.Bool("q", false, "suppress progress output")
+		baseURL = fs.String("url", "http://127.0.0.1:8344", "daemon base URL")
+		status  = fs.Bool("status", false, "print the daemon status document and exit")
+		quiet   = fs.Bool("q", false, "suppress progress output")
 	)
 	fs.Parse(args)
 
@@ -44,20 +36,6 @@ func runSubmit(args []string) int {
 		return 0
 	}
 
-	spec := server.JobSpec{
-		Exp:          *exp,
-		Step:         *step,
-		Instructions: *instrs,
-		Warmup:       *warmup,
-		NoSkip:       *noSkip,
-		JSON:         *jsonOut,
-		Sample:       *sample,
-	}
-	if *sample {
-		spec.SamplePeriod = *samplePeriod
-		spec.SampleDetail = *sampleDetail
-		spec.SampleWarm = *sampleWarm
-	}
 	if !*quiet {
 		client.OnEvent = func(ev server.Event) {
 			switch ev.Type {
@@ -71,7 +49,7 @@ func runSubmit(args []string) int {
 			}
 		}
 	}
-	res, err := client.Submit(spec)
+	res, err := client.Submit(*spec)
 	if err != nil {
 		return fail("submit: %v", err)
 	}

@@ -41,8 +41,8 @@ func main() {
 		variant    = flag.String("variant", "All_imps", "converter variant or improvement name for -cachekey")
 		model      = flag.String("model", "develop", "simulator model for -cachekey: develop or ipc1")
 		prefetcher = flag.String("prefetcher", "none", "L1I prefetcher of the ipc1 model for -cachekey")
-		instrs     = flag.Int("instructions", 150000, "instructions per trace for -cachekey")
-		warmup     = flag.Uint64("warmup", 50000, "warm-up instructions for -cachekey")
+		instrs     = flag.Int("instructions", experiments.DefaultInstructions, "instructions per trace for -cachekey")
+		warmup     = flag.Uint64("warmup", experiments.DefaultWarmup, "warm-up instructions for -cachekey")
 	)
 	flag.Parse()
 	if *cachekey {

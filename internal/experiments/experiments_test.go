@@ -284,7 +284,7 @@ func TestTable3Small(t *testing.T) {
 }
 
 func TestDefaultSweepConfig(t *testing.T) {
-	cfg := DefaultSweepConfig()
+	cfg := SweepConfig{Warmup: DefaultWarmup}
 	cfg.fill()
 	if cfg.Instructions != 150000 || cfg.Warmup != 50000 {
 		t.Errorf("defaults = %+v", cfg)

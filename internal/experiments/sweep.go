@@ -184,14 +184,18 @@ type SweepConfig struct {
 	ExpMisses func(misses int)
 }
 
-// DefaultSweepConfig returns the configuration used by the rebase CLI:
-// 150k instructions per trace with a 50k warm-up. The paper runs the
-// original traces (tens of millions of instructions) to completion without
-// warm-up; the warm-up here stands in for the steady state a full-length
-// trace reaches on its own.
-func DefaultSweepConfig() SweepConfig {
-	return SweepConfig{Instructions: 150000, Warmup: 50000}
-}
+// The request defaults every front end shares: a run of 150k instructions
+// per trace with a 50k warm-up, and a sampled run's geometry. The paper runs
+// the original traces (tens of millions of instructions) to completion
+// without warm-up; the warm-up here stands in for the steady state a
+// full-length trace reaches on its own.
+const (
+	DefaultInstructions = 150000
+	DefaultWarmup       = 50000
+	DefaultSamplePeriod = 12500
+	DefaultSampleDetail = 2500
+	DefaultSampleWarm   = 2500
+)
 
 // fill defaults the zero fields and rejects configurations that would
 // silently produce meaningless sweeps: a negative instruction count or
@@ -202,7 +206,7 @@ func (c *SweepConfig) fill() error {
 		return fmt.Errorf("experiments: negative instruction count %d", c.Instructions)
 	}
 	if c.Instructions == 0 {
-		c.Instructions = 150000
+		c.Instructions = DefaultInstructions
 	}
 	if c.Parallelism < 0 {
 		return fmt.Errorf("experiments: negative parallelism %d", c.Parallelism)

@@ -597,3 +597,88 @@ func TestAggregate(t *testing.T) {
 		}
 	}
 }
+
+// TestTruncatedBlockAtEveryOffset cuts one small block short at every
+// length in turn. No length may be served or panic: the reopened store
+// counts the block corrupt, removes it and misses every one of its cells.
+// Appending the cells again then restores them, and no temp file is left.
+func TestTruncatedBlockAtEveryOffset(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	dir := t.TempDir()
+	s, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := make([]Cell, 3)
+	keys := make([]Key, len(cells))
+	for i := range cells {
+		cells[i] = randCell(rng)
+		cells[i].Category, cells[i].Config = "srv", "develop" // one partition, so one block
+		keys[i] = cells[i].Key
+		if err := s.Append(cells[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	names, _ := filepath.Glob(filepath.Join(dir, "*.expb"))
+	if len(names) != 1 {
+		t.Fatalf("blocks %v, want one", names)
+	}
+	whole, err := os.ReadFile(names[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err = Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := s.Cells(keys)
+	if err != nil || len(want) != len(cells) {
+		t.Fatalf("intact block serves %d cells (%v), want %d", len(want), err, len(cells))
+	}
+	s.Close()
+	for n := 0; n < len(whole); n++ {
+		if err := os.WriteFile(names[0], whole[:n], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(Config{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := s.Lookup(keys)
+		st := s.Stats()
+		if len(got) != 0 || st.LookupMisses != uint64(len(keys)) || st.Corrupt != 1 {
+			t.Fatalf("block cut to %d of %d bytes: %d cells served, stats %+v; want none, %d misses and 1 corrupt",
+				n, len(whole), len(got), st, len(keys))
+		}
+		if _, err := os.Stat(names[0]); !os.IsNotExist(err) {
+			t.Fatalf("block cut to %d bytes left on disk: %v", n, err)
+		}
+		s.Close()
+	}
+
+	s, err = Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cells {
+		if err := s.Append(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
+	s, err = Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	got, err := s.Cells(keys)
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("rewritten block serves %v (%v), want the original cells", got, err)
+	}
+	if tmp, _ := filepath.Glob(filepath.Join(dir, "tmp-*")); len(tmp) != 0 {
+		t.Fatalf("temp files left: %v", tmp)
+	}
+}

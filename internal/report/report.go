@@ -9,7 +9,6 @@ package report
 import (
 	"fmt"
 	"io"
-	"slices"
 	"sort"
 	"strings"
 
@@ -17,29 +16,11 @@ import (
 	"tracerebase/internal/synth"
 )
 
-// expNames lists the names a Spec's experiment list may hold: every
-// experiment Run renders, and "all" for the paper's tables and figures
-// (ablation and char run only when named).
-var expNames = []string{"table1", "fig1", "fig2", "fig3", "fig4", "fig5",
-	"table2", "table3", "ablation", "char", "all"}
-
-// Spec names what to render: which experiments and which suite stride.
-type Spec struct {
-	// Exp is the comma-separated experiment list: table1, fig1..fig5,
-	// table2, table3, ablation, char, or all. The empty list is valid and
-	// renders nothing.
-	Exp string
-	// Step uses every step-th trace of each suite (1 = all).
-	Step int
-}
-
 // Output directs where the composition goes.
 type Output struct {
 	// Text receives the rendered output (tables/figures, or the JSON
-	// document when JSON is set). nil discards it.
+	// document when the Spec asks for JSON). nil discards it.
 	Text io.Writer
-	// JSON emits one JSON document instead of rendered text.
-	JSON bool
 	// Log receives progress notes (suite sizes); nil means quiet. Per-cell
 	// progress goes through SweepConfig.Progress as before.
 	Log io.Writer
@@ -56,31 +37,15 @@ type Telemetry struct {
 	Sample []SampleStat
 }
 
-// ValidateExp checks a comma-separated experiment list against the names
-// Run understands, naming the first entry that is not an experiment. The
-// batch CLI and the daemon both call it, so a misspelled name fails
-// loudly on either front end instead of silently rendering less.
-func ValidateExp(exp string) error {
-	if strings.TrimSpace(exp) == "" {
-		return nil
-	}
-	for _, e := range strings.Split(exp, ",") {
-		if e = strings.TrimSpace(e); !slices.Contains(expNames, e) {
-			return fmt.Errorf("unknown experiment %q (want a comma-separated list of %s)",
-				e, strings.Join(expNames, ", "))
-		}
-	}
-	return nil
-}
-
 // Run renders the experiments named by spec into out, using cfg's engine
-// configuration (cache, slab store, parallelism, sampling) unchanged.
+// configuration (cache, slab store, parallelism, sampling) unchanged:
+// spec's budgets reach the engine through Spec.SweepConfig, not here.
 // Every byte written to out.Text is a pure function of (cfg, spec), which
-// is what makes cached replays byte-identical. An experiment list that
-// fails ValidateExp is an error, and nothing is rendered.
+// is what makes cached replays byte-identical. An unknown experiment name
+// is an error, and nothing is rendered.
 func Run(cfg experiments.SweepConfig, spec Spec, out Output) (Telemetry, error) {
 	var tel Telemetry
-	if err := ValidateExp(spec.Exp); err != nil {
+	if err := validateExp(spec.Exp); err != nil {
 		return tel, err
 	}
 	text := out.Text
@@ -96,7 +61,7 @@ func Run(cfg experiments.SweepConfig, spec Spec, out Output) (Telemetry, error) 
 	all := wants["all"]
 	needSweep := all || wants["fig1"] || wants["fig2"] || wants["fig3"] || wants["fig4"] || wants["fig5"]
 
-	if (all || wants["table1"]) && !out.JSON {
+	if (all || wants["table1"]) && !spec.JSON {
 		experiments.RenderTable1(text)
 		fmt.Fprintln(text)
 	}
@@ -115,26 +80,26 @@ func Run(cfg experiments.SweepConfig, spec Spec, out Output) (Telemetry, error) 
 		if cfg.SamplePeriod > 0 {
 			tel.Sample = SampleSummary(results)
 		}
-		if out.JSON {
+		if spec.JSON {
 			jsonReport.FillFigures(results)
 		}
-		if (all || wants["fig1"]) && !out.JSON {
+		if (all || wants["fig1"]) && !spec.JSON {
 			experiments.RenderFig1(text, experiments.Fig1(results))
 			fmt.Fprintln(text)
 		}
-		if (all || wants["fig2"]) && !out.JSON {
+		if (all || wants["fig2"]) && !spec.JSON {
 			experiments.RenderFig2(text, experiments.Fig2(results))
 			fmt.Fprintln(text)
 		}
-		if (all || wants["fig3"]) && !out.JSON {
+		if (all || wants["fig3"]) && !spec.JSON {
 			experiments.RenderFig3(text, experiments.Fig3(results))
 			fmt.Fprintln(text)
 		}
-		if (all || wants["fig4"]) && !out.JSON {
+		if (all || wants["fig4"]) && !spec.JSON {
 			experiments.RenderFig4(text, experiments.Fig4(results))
 			fmt.Fprintln(text)
 		}
-		if (all || wants["fig5"]) && !out.JSON {
+		if (all || wants["fig5"]) && !spec.JSON {
 			experiments.RenderFig5(text, experiments.Fig5(results))
 			fmt.Fprintln(text)
 		}
@@ -149,7 +114,7 @@ func Run(cfg experiments.SweepConfig, spec Spec, out Output) (Telemetry, error) 
 		if err != nil {
 			return tel, fmt.Errorf("table2: %w", err)
 		}
-		if out.JSON {
+		if spec.JSON {
 			jsonReport.Table2 = &res
 		} else {
 			experiments.RenderTable2(text, res)
@@ -162,7 +127,7 @@ func Run(cfg experiments.SweepConfig, spec Spec, out Output) (Telemetry, error) 
 		if err != nil {
 			return tel, fmt.Errorf("ablation: %w", err)
 		}
-		if out.JSON {
+		if spec.JSON {
 			jsonReport.Ablation = res
 		} else {
 			experiments.RenderFrontEndAblation(text, res)
@@ -180,7 +145,7 @@ func Run(cfg experiments.SweepConfig, spec Spec, out Output) (Telemetry, error) 
 		if err != nil {
 			return tel, fmt.Errorf("table3: %w", err)
 		}
-		if out.JSON {
+		if spec.JSON {
 			jsonReport.Table3 = &res
 		} else {
 			experiments.RenderTable3(text, res)
@@ -194,7 +159,7 @@ func Run(cfg experiments.SweepConfig, spec Spec, out Output) (Telemetry, error) 
 		if err != nil {
 			return tel, fmt.Errorf("characterize: %w", err)
 		}
-		if out.JSON {
+		if spec.JSON {
 			jsonReport.Char = rows
 		} else {
 			experiments.RenderCharacterization(text, rows)
@@ -202,7 +167,7 @@ func Run(cfg experiments.SweepConfig, spec Spec, out Output) (Telemetry, error) 
 		}
 	}
 
-	if out.JSON {
+	if spec.JSON {
 		if err := jsonReport.Write(text); err != nil {
 			return tel, fmt.Errorf("json: %w", err)
 		}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"sync"
 	"testing"
 )
@@ -115,6 +116,63 @@ func TestDiskBackendRoundTrip(t *testing.T) {
 	// Deleting an absent key is not an error.
 	if err := d.Delete(key); err != nil {
 		t.Fatalf("Delete of absent key: %v", err)
+	}
+}
+
+// TestDiskTruncatedAtEveryOffset cuts one record short at every length in
+// turn. No length may be served or panic: the reopened disk tier counts a
+// corrupt entry and a miss, and removes the file. Writing the entry again
+// restores it, and no temp file is left.
+func TestDiskTruncatedAtEveryOffset(t *testing.T) {
+	dir := t.TempDir()
+	d, err := NewDisk(DiskConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, want := bkey("cut"), []byte("a cell's encoded result, long enough to span the payload")
+	if err := d.Put(key, want); err != nil {
+		t.Fatal(err)
+	}
+	path := d.EntryPath(key)
+	whole, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; n < len(whole); n++ {
+		if err := os.WriteFile(path, whole[:n], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		d, err := NewDisk(DiskConfig{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := d.Get(key); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("record cut to %d of %d bytes served %q (%v)", n, len(whole), got, err)
+		}
+		if st := d.Stat(); st.Misses != 1 || st.Corrupt != 1 {
+			t.Fatalf("record cut to %d bytes: stats %+v, want 1 miss and 1 corrupt", n, st)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Fatalf("record cut to %d bytes left on disk: %v", n, err)
+		}
+	}
+
+	d, err = NewDisk(DiskConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Put(key, want); err != nil {
+		t.Fatal(err)
+	}
+	d, err = NewDisk(DiskConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := d.Get(key); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("rewritten record: Get = %q, %v; want %q", got, err, want)
+	}
+	if tmp := tmpFiles(t, dir); len(tmp) != 0 {
+		t.Fatalf("temp files left: %v", tmp)
 	}
 }
 

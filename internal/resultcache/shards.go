@@ -35,7 +35,8 @@ type shardEntry struct {
 // OpenShards opens (creating if needed) the directory dir holding entries
 // named <hexkey><ext> and indexes the entries already there. Leftover temp
 // files from interrupted writes are removed; files that do not look like
-// entries are ignored.
+// entries, and anything at an entry's name that is not a regular file,
+// are ignored.
 func OpenShards(dir, ext string, maxBytes int64) (*Shards, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -69,7 +70,7 @@ func OpenShards(dir, ext string, maxBytes int64) (*Shards, error) {
 				_ = os.Remove(filepath.Join(shardDir, name))
 				continue
 			}
-			if !strings.HasSuffix(name, ext) {
+			if !f.Type().IsRegular() || !strings.HasSuffix(name, ext) {
 				continue
 			}
 			key, err := ParseKey(strings.TrimSuffix(name, ext))

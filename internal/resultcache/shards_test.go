@@ -89,6 +89,35 @@ func TestShardsDropUnindexes(t *testing.T) {
 	}
 }
 
+// TestShardsIndexOnlyRegularFiles: a directory named like an entry, with
+// files in it, is neither indexed nor counted in Bytes at open; the
+// regular entry beside it is.
+func TestShardsIndexOnlyRegularFiles(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenShards(dir, ".x", 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	file, odd := NewHasher("shards").Str("file").Sum(), NewHasher("shards").Str("dir").Sum()
+	publishBytes(t, s, file, 100)
+	if err := os.MkdirAll(s.Path(odd), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(s.Path(odd), "inside"), make([]byte, 5000), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := OpenShards(dir, ".x", 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s2.Has(odd) || !s2.Has(file) {
+		t.Errorf("Has(dir) = %v, Has(file) = %v; want false, true", s2.Has(odd), s2.Has(file))
+	}
+	if s2.Bytes() != 100 {
+		t.Errorf("Bytes = %d, want the regular entry's 100", s2.Bytes())
+	}
+}
+
 // TestShardsEvictionFollowsMtimes publishes three entries, reorders their
 // file mtimes against write order, reopens, and checks that publishing past
 // the bound evicts in mtime order.

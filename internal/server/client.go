@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"strings"
 	"time"
+
+	"tracerebase/internal/report"
 )
 
 // SubmitResult is what a completed job stream resolves to.
@@ -38,7 +40,7 @@ type Client struct {
 }
 
 // Submit posts spec and follows the event stream to completion.
-func (c *Client) Submit(spec JobSpec) (*SubmitResult, error) {
+func (c *Client) Submit(spec report.Spec) (*SubmitResult, error) {
 	body, err := json.Marshal(spec)
 	if err != nil {
 		return nil, err

@@ -84,7 +84,7 @@ func New(cfg Config) *Server {
 
 // Handler returns the daemon's HTTP surface:
 //
-//	POST /jobs    submit a JobSpec, stream Events as NDJSON
+//	POST /jobs    submit a report.Spec, stream Events as NDJSON
 //	GET  /status  JSON status: jobs, workers, per-tier cache counters
 //	GET  /query   execute ?q=<query string> against the experiment store,
 //	              return the result as JSON (503 when no store is wired)
@@ -175,10 +175,10 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 }
 
 // decodeJobSpec reads a POST /jobs body: at most 1 MiB holding one JSON
-// object with only JobSpec's fields, validated and normalized. A
+// object with only report.Spec's fields, validated and normalized. A
 // misspelled field is an error naming it, not a default silently applied.
-func decodeJobSpec(body io.Reader) (JobSpec, error) {
-	var spec JobSpec
+func decodeJobSpec(body io.Reader) (report.Spec, error) {
+	var spec report.Spec
 	dec := json.NewDecoder(io.LimitReader(body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
@@ -217,7 +217,7 @@ func (s *Server) joinOrCreate(key string) (*job, bool) {
 
 // runJob is the leader path: wait for a worker slot, run the shared
 // report composition into the event stream, store the output blob.
-func (s *Server) runJob(j *job, spec JobSpec, key resultcache.Key) {
+func (s *Server) runJob(j *job, spec report.Spec, key resultcache.Key) {
 	defer s.jobs.Done()
 	defer func() {
 		s.mu.Lock()
@@ -232,12 +232,12 @@ func (s *Server) runJob(j *job, spec JobSpec, key resultcache.Key) {
 	j.publish(Event{Type: "started"})
 	fmt.Fprintf(s.log, "job %s: started (%s)\n", j.key[:12], spec.Exp)
 
-	cfg := spec.sweepConfig(s.base)
+	cfg := spec.SweepConfig(s.base)
 	cfg.Progress = func(done, total int) {
 		j.publish(Event{Type: "progress", Done: done, Total: total})
 	}
 	cw := &chunkWriter{j: j}
-	_, err := report.Run(cfg, spec.reportSpec(), report.Output{Text: cw, JSON: spec.JSON})
+	_, err := report.Run(cfg, spec, report.Output{Text: cw})
 	cw.flush()
 	if err != nil {
 		s.jobsFailed.Add(1)

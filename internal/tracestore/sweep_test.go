@@ -161,3 +161,65 @@ func TestSweepSlabStoreUnwritable(t *testing.T) {
 	}
 	noTempFiles(t, dir)
 }
+
+// TestSweepSlabPathIsDirectory: a non-empty directory where one slab would
+// be published is a plain miss, not a corrupt slab. The store never
+// indexes or drops it, each write of that slab fails at the rename, and
+// the warnings name its path; the output is the store-off output and no
+// temp file is left.
+func TestSweepSlabPathIsDirectory(t *testing.T) {
+	sweep, _, _ := failureRuns()
+	want := sweep(t, nil)
+
+	// A first store shows where the sweep's slabs live.
+	probe := t.TempDir()
+	s0, err := tracestore.Open(tracestore.Config{Dir: probe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep(t, s0)
+	slabs, _ := filepath.Glob(filepath.Join(probe, "*", "*", "*.slab"))
+	if len(slabs) == 0 {
+		t.Fatal("the sweep wrote no slab")
+	}
+	rel, _ := filepath.Rel(probe, slabs[0])
+
+	dir := t.TempDir()
+	path := filepath.Join(dir, rel)
+	if err := os.MkdirAll(filepath.Join(path, "inside"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var warned []string
+	s, err := tracestore.Open(tracestore.Config{Dir: dir, Warn: func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		warned = append(warned, fmt.Sprintf(format, args...))
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sweep(t, s); !reflect.DeepEqual(got, want) {
+		t.Fatal("sweep with a directory at a slab's path differs from the store-off sweep")
+	}
+	st := s.Stats()
+	if st.Corrupt != 0 || st.WriteErrors == 0 {
+		t.Fatalf("stats %+v, want no corrupt slab and the blocked writes counted", st)
+	}
+	writeWarnings := 0
+	for _, w := range warned {
+		if !strings.Contains(w, path) {
+			t.Errorf("warning %q does not name %s", w, path)
+		}
+		if strings.Contains(w, "slab write failed") {
+			writeWarnings++
+		}
+	}
+	if writeWarnings != int(st.WriteErrors) || len(warned) != writeWarnings+1 {
+		t.Errorf("warnings %q, want one per write error (%d) and one for the directory", warned, st.WriteErrors)
+	}
+	if info, err := os.Stat(path); err != nil || !info.IsDir() {
+		t.Errorf("the directory at %s was removed: %v", path, err)
+	}
+	noTempFiles(t, dir)
+}

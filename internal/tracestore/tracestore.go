@@ -113,9 +113,12 @@ type Store struct {
 	open map[Key]*Slab // referenced slabs
 	// fresh holds the keys Write persisted that no load has mapped yet:
 	// their first load counts with the Write's miss, not as a hit.
-	fresh  map[Key]bool
-	mapped uint64 // file bytes the slabs in open hold mapped
-	stats  Stats
+	fresh map[Key]bool
+	// notFile holds the keys whose path was found to be something other
+	// than a regular file, so each is warned once.
+	notFile map[Key]bool
+	mapped  uint64 // file bytes the slabs in open hold mapped
+	stats   Stats
 }
 
 // Open opens (creating if needed) the slab store rooted at cfg.Dir. The
@@ -143,6 +146,7 @@ func Open(cfg Config) (*Store, error) {
 		warn:     cfg.Warn,
 		open:     make(map[Key]*Slab),
 		fresh:    make(map[Key]bool),
+		notFile:  make(map[Key]bool),
 	}, nil
 }
 
@@ -241,8 +245,10 @@ func (s *Store) GetOrConvert(key Key, convert ConvertFunc) (*Slab, error) {
 // index.
 // Corrupt files are removed so they are reconverted, never served; foreign
 // files (other format version or architecture) are left in place for the
-// native writer to atomically replace. A file that cannot be mapped is a
-// plain miss: it is warned and left in place, not counted as corrupt.
+// native writer to atomically replace. A file that cannot be mapped, and
+// a path that is not a regular file (a directory, say), are plain misses:
+// warned and left in place, not counted as corrupt. The latter is warned
+// once.
 func (s *Store) loadDisk(key Key) *Slab {
 	path := s.EntryPath(key)
 	f, err := os.Open(path)
@@ -252,6 +258,17 @@ func (s *Store) loadDisk(key Key) *Slab {
 	info, err := f.Stat()
 	if err != nil {
 		f.Close()
+		return nil
+	}
+	if !info.Mode().IsRegular() {
+		f.Close()
+		s.mu.Lock()
+		first := !s.notFile[key]
+		s.notFile[key] = true
+		s.mu.Unlock()
+		if first {
+			s.warn("tracestore: %s is not a regular file; its slab cannot be stored", path)
+		}
 		return nil
 	}
 	size := info.Size()
