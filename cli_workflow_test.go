@@ -181,6 +181,21 @@ func TestCLIFrontEnd(t *testing.T) {
 			"exp_store": {"appends", "dup_skipped", "blocks_written", "cells_written", "compactions", "corrupt",
 				"foreign", "bytes_written", "lookup_hits", "lookup_misses"},
 		})
+
+		// A query that matches nothing suggests a sweep only when the store
+		// holds no cell of this build.
+		for _, tc := range []struct{ storeDir, hint string }{
+			{filepath.Join(cacheDir, "exp"), "no cell matches the filters"},
+			{filepath.Join(dir, "empty-exp"), "holds no cell of this build; run a sweep first"},
+		} {
+			stdout, stderr, code := run("query", "-store-dir", tc.storeDir, "trace=nonexistent")
+			if code != 0 || !strings.Contains(stderr, tc.hint) || !strings.Contains(stdout, "-- 0 rows") {
+				t.Fatalf("query over %s: exit %d\nstdout %q\nstderr %q, want the hint %q", tc.storeDir, code, stdout, stderr, tc.hint)
+			}
+			if tc.hint == "no cell matches the filters" && strings.Contains(stderr, "sweep") {
+				t.Fatalf("query over a filled store suggests a sweep: %q", stderr)
+			}
+		}
 	})
 
 	// A sampled run records its sampling parameters beside the standard

@@ -20,7 +20,7 @@
 // each run. Use `traceinfo -cachekey` to inspect a cell's key derivation.
 //
 // Alongside the caches, every sweep records its result cells into a
-// columnar experiment store (<cache dir>/exp, relocated by -exp-store-dir,
+// experiment store (<cache dir>/exp, relocated by -exp-store-dir,
 // disabled by -no-exp-store) and reads its rendered results back out of
 // it. Unless -no-cache is given, the store is also where a repeat run's
 // cells come from first; the result cache serves only the store's misses.
@@ -28,8 +28,7 @@
 //
 //	rebase query 'category=srv variant=all,none metric=ipc group-by=rob stat=p50,p99'
 //
-// prunes blocks on footer statistics and materializes only the referenced
-// columns; see `rebase query -h` for the query language.
+// See `rebase query -h` for the query language.
 //
 // For performance work, -cpuprofile and -memprofile write pprof profiles
 // covering the whole run, and -bench-json records the wall-clock,
@@ -119,7 +118,7 @@ func run() (code int) {
 		noTraceStore  = flag.Bool("no-trace-store", false, "disable the compiled-trace slab store, which serves converted traces (zero-copy mmap, shared across runs and processes)")
 		traceStoreDir = flag.String("trace-store-dir", "", "compiled-trace store directory (default <cache dir>/slabs)")
 
-		noExpStore  = flag.Bool("no-exp-store", false, "disable the columnar experiment store, which records sweep result cells (queryable with `rebase query`)")
+		noExpStore  = flag.Bool("no-exp-store", false, "disable the experiment store, which records sweep result cells (queryable with `rebase query`)")
 		expStoreDir = flag.String("exp-store-dir", "", "experiment store directory (default <cache dir>/exp)")
 
 		cores      = flag.Int("cores", 1, "simulate N lockstep cores over a shared LLC (requires -coschedule)")
@@ -356,7 +355,7 @@ type benchRecord struct {
 	// TraceStore records compiled-trace slab store activity: a warm store
 	// shows disk hits and zero converts.
 	TraceStore *tracestore.Stats `json:"trace_store,omitempty"`
-	// ExpStore records columnar experiment-store activity: a warm run
+	// ExpStore records experiment-store activity: a warm run
 	// shows every cell a lookup hit, nothing offered and nothing written.
 	ExpStore *expstore.Stats `json:"exp_store,omitempty"`
 }

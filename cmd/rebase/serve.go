@@ -31,7 +31,7 @@ func runServe(args []string) int {
 		memBytes   = fs.Int64("mem-bytes", 0, "in-memory tier budget in bytes (0 = 256 MiB)")
 		remote     = fs.String("remote", "", "peer daemon to chain as the slowest cache tier, e.g. http://host:8344 (its /cache mount is used)")
 		noSlabs    = fs.Bool("no-trace-store", false, "disable the compiled-trace slab store")
-		noExpStore = fs.Bool("no-exp-store", false, "disable the columnar experiment store (and GET /query)")
+		noExpStore = fs.Bool("no-exp-store", false, "disable the experiment store (and GET /query)")
 		quiet      = fs.Bool("q", false, "suppress operational log output")
 	)
 	fs.Parse(args)

@@ -10,8 +10,8 @@ import (
 	"tracerebase/internal/resultcache"
 )
 
-// storeConfig places the compiled-trace slab store and the columnar
-// experiment store. An empty slabDir or expDir means <cache root>/slabs or
+// storeConfig places the compiled-trace slab store and the experiment
+// store. An empty slabDir or expDir means <cache root>/slabs or
 // <cache root>/exp; an empty cacheDir means experiments.DefaultCacheDir.
 type storeConfig struct {
 	cacheDir        string

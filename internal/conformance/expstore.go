@@ -2,11 +2,12 @@ package conformance
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 
 	"tracerebase/internal/experiments"
@@ -15,23 +16,24 @@ import (
 	"tracerebase/internal/synth"
 )
 
-// CheckExpStoreTransparency is the differential oracle for the columnar
-// experiment store: the store must be invisible in the output. It runs the
+// CheckExpStoreTransparency is the differential oracle for the experiment
+// store: the store must be invisible in the output. It runs the
 // same sweep four ways — store-off, cold store (every cell appended, then
 // read back), warm store (a fresh Store over the same directory, modelling
 // a second process, deduplicating every offered cell), and warm store with
 // one block corrupted on disk — and requires byte-identical rendered output
 // (and structurally identical results) from all of them. The corrupted
-// block must be caught by checksum, discarded with a pointed warning, and
-// reported as read-back misses — never served, never a crash — and a
-// follow-up sweep must re-append exactly the lost cells. Two lookup passes
+// block must be caught by checksum when the store loads, before the sweep
+// offers a cell, and discarded with a pointed warning — never served,
+// never a crash; the sweep then re-appends exactly the lost cells and
+// reads every cell back, and a follow-up sweep writes nothing. Two lookup passes
 // add a result cache beside the store, which makes the store the first
 // lookup: over the filled store every cell must be served from it, with
 // nothing generated, simulated or re-offered; after a second corrupted
 // block exactly the lost cells must fall through to the result cache and
-// be recomputed. Finally, the pruned query path over the populated store
-// must return the same rows as the brute-force full scan while reading
-// fewer bytes.
+// be recomputed. Finally, queries over the populated store must agree with
+// the sweep's in-memory results: stat=count with the cell count, and the
+// per-variant IPC mean and max with the same aggregates computed directly.
 func CheckExpStoreTransparency(profiles []synth.Profile, instructions int, warmup uint64) error {
 	dir, err := os.MkdirTemp("", "tracerebase-expcheck-")
 	if err != nil {
@@ -163,11 +165,10 @@ func CheckExpStoreTransparency(profiles []synth.Profile, instructions int, warmu
 			cacheStats.Hits, cacheStats.Misses, cacheStats.Computes)
 	}
 
-	// Corrupt one block mid-data (the byte just below the footer is always
-	// inside the last column's checksummed region) and re-run with a fresh
-	// Store. The damage must be caught by checksum, warned about, and the
-	// block's cells surface as read-back misses — served from the in-flight
-	// results, so the output must not move.
+	// Corrupt one block's rows (the byte just below the frame's checksum)
+	// and re-run with a fresh Store. The load catches the damage by
+	// checksum and warns; the block's cells are offered again, re-appended
+	// and read back, so the output must not move.
 	victim, lostCells, err := corruptOneBlock(dir)
 	if err != nil {
 		return err
@@ -187,9 +188,10 @@ func CheckExpStoreTransparency(profiles []synth.Profile, instructions int, warmu
 	if !bytes.Equal(hurtOut, want) {
 		return fmt.Errorf("corrupted block leaked into the output")
 	}
-	if hurtStats.Corrupt != 1 || misses != lostCells {
-		return fmt.Errorf("corrupted-block run: %d corrupt, %d misses, want 1 and %d",
-			hurtStats.Corrupt, misses, lostCells)
+	if hurtStats.Corrupt != 1 || misses != 0 || hurtStats.CellsWritten != uint64(lostCells) ||
+		hurtStats.DupSkipped != jobs-uint64(lostCells) {
+		return fmt.Errorf("corrupted-block run: %d corrupt, %d misses, %d cells written, %d dups, want 1, 0, %d and %d",
+			hurtStats.Corrupt, misses, hurtStats.CellsWritten, hurtStats.DupSkipped, lostCells, jobs-uint64(lostCells))
 	}
 	if w := warns.String(); !strings.Contains(w, "corrupt block") {
 		return fmt.Errorf("corrupted-block run produced no pointed warning (got %q)", w)
@@ -198,7 +200,7 @@ func CheckExpStoreTransparency(profiles []synth.Profile, instructions int, warmu
 		return fmt.Errorf("corrupt block %s was not removed", victim)
 	}
 
-	// The lost cells reconvert: the next sweep re-appends exactly them.
+	// The lost cells were restored: the next sweep writes nothing.
 	repair, err := open(nil)
 	if err != nil {
 		return err
@@ -206,7 +208,7 @@ func CheckExpStoreTransparency(profiles []synth.Profile, instructions int, warmu
 	misses = 0
 	repairOut, _, err := sweep(repair, nil, &misses)
 	repairStats := repair.Stats()
-	queryErr := checkQueryAgainstFullScan(repair)
+	queryErr := checkQueryAgainstSweep(repair, wantRes)
 	repair.Close()
 	if err != nil {
 		return fmt.Errorf("repair sweep: %w", err)
@@ -217,9 +219,9 @@ func CheckExpStoreTransparency(profiles []synth.Profile, instructions int, warmu
 	if misses != 0 {
 		return fmt.Errorf("repair sweep missed %d cells on read-back, want 0", misses)
 	}
-	if repairStats.CellsWritten != uint64(lostCells) || repairStats.DupSkipped != jobs-uint64(lostCells) {
-		return fmt.Errorf("repair sweep: %d cells written, %d dups, want %d and %d",
-			repairStats.CellsWritten, repairStats.DupSkipped, lostCells, jobs-uint64(lostCells))
+	if repairStats.CellsWritten != 0 || repairStats.DupSkipped != jobs {
+		return fmt.Errorf("repair sweep: %d cells written, %d dups, want 0 and %d",
+			repairStats.CellsWritten, repairStats.DupSkipped, jobs)
 	}
 	if queryErr != nil {
 		return queryErr
@@ -269,41 +271,60 @@ func CheckExpStoreTransparency(profiles []synth.Profile, instructions int, warmu
 	return nil
 }
 
-// checkQueryAgainstFullScan asserts the block-pruned query path returns
-// the same rows as the brute-force full scan over a populated store,
-// reading no more bytes.
-func checkQueryAgainstFullScan(store *expstore.Store) error {
-	for _, src := range []string{
-		"group-by=category stat=count,mean,p99",
-		"variant=All_imps,No_imp group-by=variant stat=geomean",
-		"category=srv metric=l1i_misses stat=sum,max",
-	} {
+// checkQueryAgainstSweep asserts that queries over a store populated by
+// one sweep agree with that sweep's in-memory results: stat=count counts
+// every cell, and group-by=variant metric=ipc stat=mean,max gives, per
+// variant, the mean and max of the IPCs computed directly, bit for bit.
+func checkQueryAgainstSweep(store *expstore.Store, res []experiments.TraceResult) error {
+	query := func(src string) (*expstore.Result, error) {
 		q, err := expstore.ParseQuery(src)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		pruned, err := store.Query(q)
+		r, err := store.Query(q)
 		if err != nil {
-			return fmt.Errorf("query %q: %w", src, err)
+			return nil, fmt.Errorf("query %q: %w", src, err)
 		}
-		full, err := store.FullScan(q)
-		if err != nil {
-			return fmt.Errorf("full scan %q: %w", src, err)
+		return r, nil
+	}
+	ipcs := make(map[string][]float64)
+	cells := 0
+	for _, tr := range res {
+		for name, r := range tr.Results {
+			ipcs[name] = append(ipcs[name], r.IPC)
+			cells++
 		}
-		if !reflect.DeepEqual(pruned.Rows, full.Rows) {
-			return fmt.Errorf("query %q: pruned rows differ from full scan", src)
+	}
+	count, err := query("stat=count")
+	if err != nil {
+		return err
+	}
+	if len(count.Rows) != 1 || count.Rows[0].Count != cells {
+		return fmt.Errorf("query stat=count: rows %+v, want one row counting the sweep's %d cells", count.Rows, cells)
+	}
+	byVariant, err := query("group-by=variant metric=ipc stat=mean,max")
+	if err != nil {
+		return err
+	}
+	var want []expstore.Row
+	for _, name := range slices.Sorted(maps.Keys(ipcs)) {
+		vals := ipcs[name]
+		slices.Sort(vals)
+		sum := 0.0
+		for _, v := range vals {
+			sum += v
 		}
-		if pruned.Stats.BytesRead > full.Stats.BytesRead {
-			return fmt.Errorf("query %q read %d bytes, more than the full scan's %d",
-				src, pruned.Stats.BytesRead, full.Stats.BytesRead)
-		}
+		want = append(want, expstore.Row{Group: []string{name}, Count: len(vals),
+			Values: []float64{sum / float64(len(vals)), vals[len(vals)-1]}})
+	}
+	if !reflect.DeepEqual(byVariant.Rows, want) {
+		return fmt.Errorf("query group-by=variant metric=ipc stat=mean,max: rows %+v, want %+v from the sweep", byVariant.Rows, want)
 	}
 	return nil
 }
 
-// corruptOneBlock flips a data byte in one block file under dir and
-// returns the victim path and its cell count (read from the header before
-// the damage).
+// corruptOneBlock flips a row byte in one block file under dir and returns
+// the victim path and its cell count (decoded before the damage).
 func corruptOneBlock(dir string) (string, int, error) {
 	matches, err := filepath.Glob(filepath.Join(dir, "*.expb"))
 	if err != nil {
@@ -317,8 +338,10 @@ func corruptOneBlock(dir string) (string, int, error) {
 	if err != nil {
 		return "", 0, err
 	}
-	cells := int(binary.LittleEndian.Uint64(buf[40:48]))
-	footerOff := binary.LittleEndian.Uint64(buf[48:56])
-	buf[footerOff-1] ^= 0xff
-	return victim, cells, os.WriteFile(victim, buf, 0o644)
+	cells, err := expstore.DecodeBlock(buf)
+	if err != nil {
+		return "", 0, fmt.Errorf("%s before the damage: %w", victim, err)
+	}
+	buf[len(buf)-5] ^= 0xff
+	return victim, len(cells), os.WriteFile(victim, buf, 0o644)
 }

@@ -187,14 +187,14 @@ func SelfTest(cfg SelfTestConfig) error {
 	})
 
 	// 6. Experiment-store transparency: sweeps that append every result
-	// cell to the columnar store and read their results back out of it —
+	// cell to the experiment store and read their results back out of it —
 	// cold, warm (second process, full dedup), and with a block corrupted
 	// on disk — must render byte-identically to the store-off engine, with
-	// damaged blocks discarded, warned about, and their cells re-appended
-	// by the next sweep; with a result cache alongside, the store serves
-	// every cell it holds before dispatch and only a corrupted block's
-	// cells fall through; pruned queries must match the brute-force scan.
-	r.run(fmt.Sprintf("exp store: store-off vs cold vs warm vs store-served vs corrupted sweeps of %d traces byte-identical, pruned query == full scan",
+	// damaged blocks discarded, warned about, and their cells re-appended;
+	// with a result cache alongside, the store serves every cell it holds
+	// before dispatch and only a corrupted block's cells fall through;
+	// queries must match aggregates computed from the sweep itself.
+	r.run(fmt.Sprintf("exp store: store-off vs cold vs warm vs store-served vs corrupted sweeps of %d traces byte-identical, queries == sweep aggregates",
 		len(resultCacheProfiles)), func() error {
 		return CheckExpStoreTransparency(resultCacheProfiles, cfg.SimInstructions, cfg.Warmup)
 	})

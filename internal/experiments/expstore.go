@@ -10,7 +10,7 @@ import (
 )
 
 // The experiment store records every cell a sweep computes (or serves from
-// the result cache) as one row of the columnar expstore, keyed by the same
+// the result cache) as one row of the expstore, keyed by the same
 // content address the result cache uses, and is the first place a cached
 // cell is served from (see execute). Appends are advisory: a store write
 // failure degrades to a warning — the sweep result is unaffected — and
@@ -80,10 +80,9 @@ func cellResult(cell expstore.Cell) Result {
 // cells are fetched back by content key and replace the engine's own
 // values, making the figure pipeline the store's first consumer. Cells the
 // lookup phase served from the store already are store copies and are
-// skipped. Cells the store cannot produce (an earlier write failure, a
-// just-dropped corrupt block) fall back to the in-memory result with a
-// warning; the returned count is the number of such misses, which the
-// store-transparency oracle pins to zero.
+// skipped. Cells the store cannot produce (a failed block write) fall back
+// to the in-memory result with a warning; the returned count is the number
+// of such misses, which the store-transparency oracle pins to zero.
 func storeReadBack(exp *expstore.Store, out []TraceResult, ex *executed) (int, error) {
 	keys := make([]expstore.Key, 0, len(ex.cells))
 	slots := make(map[expstore.Key][]int)

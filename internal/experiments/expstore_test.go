@@ -2,8 +2,12 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
+	"syscall"
 	"testing"
 
 	"tracerebase/internal/expstore"
@@ -166,5 +170,128 @@ func TestStoreServedTables(t *testing.T) {
 	}
 	if s := warm.exp; s.LookupHits != cells || s.LookupMisses != 0 || s.Appends != 0 || s.BlocksWritten != 0 {
 		t.Fatalf("warm exp-store stats %+v, want %d lookup hits and nothing offered or written", s, cells)
+	}
+}
+
+// TestBlockPublishFaults fails the second block publish of a store-backed
+// sweep three ways: ENOSPC from the temp-file write, a short write, and a
+// failed link together with a failed rename. Each time the failure is
+// counted and warned with the block's path, the sweep renders what the
+// store-off run renders, the block's cells are read-back misses and are
+// never served, no temp file is left, and a second process re-appends
+// exactly those cells.
+func TestBlockPublishFaults(t *testing.T) {
+	profiles := synth.PublicSuite()[:3]
+	base := SweepConfig{Instructions: 6000, Warmup: 2000, Parallelism: 2}
+	render := func(res []TraceResult) []byte {
+		var buf bytes.Buffer
+		RenderFig1(&buf, Fig1(res))
+		RenderFig4(&buf, Fig4(res))
+		RenderFig5(&buf, Fig5(res))
+		return buf.Bytes()
+	}
+	plain, err := RunSweep(profiles, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := render(plain)
+	var keys []expstore.Key
+	for _, p := range profiles {
+		for _, v := range Variants() {
+			key, err := base.CellKey(p, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys = append(keys, key)
+		}
+	}
+	jobs := uint64(len(keys))
+
+	// sweep runs the store-backed sweep in a fresh store over dir, as a new
+	// process would.
+	sweep := func(dir string, warn func(string, ...any)) (expstore.Stats, int, int) {
+		t.Helper()
+		store, err := expstore.Open(expstore.Config{Dir: dir, BlockCells: 4, Warn: warn})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer store.Close()
+		misses := -1
+		cfg := base
+		cfg.Exp = store
+		cfg.ExpMisses = func(n int) { misses = n }
+		res, err := RunSweep(profiles, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := render(res); !bytes.Equal(got, want) {
+			t.Fatalf("store-backed sweep renders\n%s\nwant\n%s", got, want)
+		}
+		served, _ := store.Cells(keys)
+		return store.Stats(), misses, len(served)
+	}
+
+	orig := expstore.BlockFS
+	t.Cleanup(func() { expstore.BlockFS = orig })
+	for _, tc := range []struct {
+		name string
+		// inject replaces BlockFS functions with ones that fail when
+		// fail() says so.
+		inject func(fail func() bool)
+	}{
+		{"ENOSPC", func(fail func() bool) {
+			expstore.BlockFS.Write = func(f *os.File, b []byte) (int, error) {
+				if fail() {
+					return 0, &os.PathError{Op: "write", Path: f.Name(), Err: syscall.ENOSPC}
+				}
+				return f.Write(b)
+			}
+		}},
+		{"short write", func(fail func() bool) {
+			expstore.BlockFS.Write = func(f *os.File, b []byte) (int, error) {
+				if fail() {
+					b = b[:len(b)/2]
+				}
+				return f.Write(b)
+			}
+		}},
+		{"link and rename", func(fail func() bool) {
+			expstore.BlockFS.Link = func(oldpath, newpath string) error {
+				if fail() {
+					return &os.LinkError{Op: "link", Old: oldpath, New: newpath, Err: syscall.EPERM}
+				}
+				return os.Link(oldpath, newpath)
+			}
+			expstore.BlockFS.Rename = func(oldpath, newpath string) error {
+				return &os.LinkError{Op: "rename", Old: oldpath, New: newpath, Err: syscall.EXDEV}
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			calls := 0
+			tc.inject(func() bool { calls++; return calls == 2 })
+			var warned []string
+			st, misses, served := sweep(dir, func(f string, a ...any) { warned = append(warned, fmt.Sprintf(f, a...)) })
+			expstore.BlockFS = orig
+			lost := jobs - st.CellsWritten
+			if st.WriteErrors != 1 || lost == 0 {
+				t.Fatalf("stats %+v, want one write error and lost cells", st)
+			}
+			if len(warned) != 1 || !strings.Contains(warned[0], filepath.Join(dir, "b0")) {
+				t.Fatalf("warnings %q, want one naming the block under %s", warned, dir)
+			}
+			if uint64(misses) != lost || uint64(served) != st.CellsWritten {
+				t.Fatalf("%d read-back misses, %d cells served; want %d and %d", misses, served, lost, st.CellsWritten)
+			}
+			if tmp, _ := filepath.Glob(filepath.Join(dir, "tmp-*")); len(tmp) != 0 {
+				t.Fatalf("temp files left: %v", tmp)
+			}
+			st, misses, served = sweep(dir, nil)
+			if st.CellsWritten != lost || st.DupSkipped != jobs-lost || misses != 0 || uint64(served) != jobs {
+				t.Fatalf("second process: %d cells written, %d dups, %d misses, %d served; want %d, %d, 0, %d",
+					st.CellsWritten, st.DupSkipped, misses, served, lost, jobs-lost, jobs)
+			}
+		})
 	}
 }

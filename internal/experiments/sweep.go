@@ -166,7 +166,7 @@ type SweepConfig struct {
 	// a class whose slab cannot be written converts into memory. nil
 	// reproduces the streaming-conversion engine exactly.
 	Slabs *SlabStore
-	// Exp, when non-nil, is the append-only columnar experiment store:
+	// Exp, when non-nil, is the append-only experiment store:
 	// every cell the sweep computes (or serves from the result cache) is
 	// appended as one row keyed by the cell's content address, and once
 	// the sweep assembles its results they are replaced by their

@@ -1,629 +1,175 @@
 package expstore
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
-	"unsafe"
 
 	"tracerebase/internal/frame"
 )
 
-const (
-	// blockHeaderSize is one page: column data starts page-aligned so the
-	// mmap view serves fixed-width columns as zero-copy slices with natural
-	// alignment.
-	blockHeaderSize = 4096
-
-	blockMagic  = "EXPB"
-	footerMagic = "EXPF"
-
-	// colAlign is the alignment of every column data region, so float64
-	// columns can be viewed in place.
-	colAlign = 8
-)
-
-// blockHeader is the decoded form of the fixed 4 KiB block header.
+// A block file is one frame record (see package frame):
 //
-// On-disk layout (all integers little-endian):
+//	magic "EXPR", FormatVersion, schemaKey as the frame key, payload length
+//	payload: the cell count as a uvarint, then one row per cell; a row is
+//	  the cell's columns in schema order — uint as uvarint, float as 8
+//	  little-endian bytes, string as uvarint length then bytes, key as 32
+//	  raw bytes
+//	CRC-32C of the payload
 //
-//	[0:4)    magic "EXPB"
-//	[4:8)    format version (u32)
-//	[8:40)   schema key (32 bytes)
-//	[40:48)  cell count (u64)
-//	[48:56)  footer offset (u64)
-//	[56:64)  footer length (u64)
-//	[64:68)  CRC-32C of bytes [0:64) (u32)
-//	[68:4096) zero padding to the page boundary
-//
-// Column data regions follow from offset 4096, each 8-byte aligned, in
-// schema order; the frame-encoded footer closes the file.
-type blockHeader struct {
-	cells     int
-	footerOff int64
-	footerLen int64
-}
-
-const blockHeaderCRCOff = 64
-
-// blockCheckedLen is the portion of the header page a reader actually
-// parses and checksums: the fixed fields plus their CRC. The rest of the
-// page is alignment padding and is never examined, so byte-read accounting
-// charges only this much per header.
-const blockCheckedLen = blockHeaderCRCOff + 4
-
-func encodeBlockHeader(h blockHeader) []byte {
-	buf := make([]byte, blockHeaderSize)
-	copy(buf[0:4], blockMagic)
-	binary.LittleEndian.PutUint32(buf[4:8], FormatVersion)
-	copy(buf[8:40], schemaKey[:])
-	binary.LittleEndian.PutUint64(buf[40:48], uint64(h.cells))
-	binary.LittleEndian.PutUint64(buf[48:56], uint64(h.footerOff))
-	binary.LittleEndian.PutUint64(buf[56:64], uint64(h.footerLen))
-	crc := frame.Checksum(buf[:blockHeaderCRCOff])
-	binary.LittleEndian.PutUint32(buf[blockHeaderCRCOff:blockHeaderCRCOff+4], crc)
-	return buf
-}
-
-// blockVerdict classifies a parsed block header, mirroring the tracestore
-// trichotomy.
-type blockVerdict int
-
-const (
-	blockOK blockVerdict = iota
-	// blockCorrupt: the file is damaged (bad magic, CRC, or impossible
-	// geometry) — remove it; the cells re-appear on the next sweep.
-	blockCorrupt
-	// blockForeign: intact but written by another format version or
-	// schema — skip it, never delete it.
-	blockForeign
-)
-
-func parseBlockHeader(buf []byte, fileSize int64) (blockHeader, blockVerdict) {
-	var h blockHeader
-	if len(buf) < blockHeaderSize || string(buf[0:4]) != blockMagic {
-		return h, blockCorrupt
-	}
-	crc := frame.Checksum(buf[:blockHeaderCRCOff])
-	if binary.LittleEndian.Uint32(buf[blockHeaderCRCOff:blockHeaderCRCOff+4]) != crc {
-		return h, blockCorrupt
-	}
-	if binary.LittleEndian.Uint32(buf[4:8]) != FormatVersion {
-		return h, blockForeign
-	}
-	if !bytes.Equal(buf[8:40], schemaKey[:]) {
-		return h, blockForeign
-	}
-	cells := binary.LittleEndian.Uint64(buf[40:48])
-	fOff := binary.LittleEndian.Uint64(buf[48:56])
-	fLen := binary.LittleEndian.Uint64(buf[56:64])
-	if cells == 0 || cells > math.MaxInt32 ||
-		fOff < blockHeaderSize || fLen < frame.MinRecordSize ||
-		fOff > uint64(fileSize) || fLen > uint64(fileSize) ||
-		fOff+fLen != uint64(fileSize) {
-		return h, blockCorrupt
-	}
-	h.cells = int(cells)
-	h.footerOff = int64(fOff)
-	h.footerLen = int64(fLen)
-	return h, blockOK
-}
-
-// colMeta is one column's footer entry: where its data region lives, its
-// CRC, and the kind-specific pruning statistics.
-type colMeta struct {
-	off, length int64
-	crc         uint32
-	// uint / float statistics (float stored as IEEE-754 bits).
-	minU, maxU uint64
-	// key statistics.
-	minK, maxK Key
-	// dictionary, sorted ascending; indices in the data region refer to
-	// this order. Doubles as the pruning statistic.
-	dict []string
-}
-
-// blockMeta is the footer's block-level dedup lineage: enough provenance
-// for a query to prove a set of scanned blocks cannot contain duplicate
-// content keys, and skip materializing the 32-byte key column entirely.
-//
-//   - runID identifies the writer run: blocks from one run are mutually
-//     dup-free because the writer's seen-set dedups every append.
-//   - baseSeq is the writer's view horizon: every block with a smaller
-//     sequence number existed when the run started, so its keys were loaded
-//     into the seen-set and the run's blocks are dup-free against it.
-//   - srcMin/srcMax (compaction outputs only) are the sequence range the
-//     output's cells came from. A crash between publishing the output and
-//     removing its inputs leaves both on disk; the overlapping ranges flag
-//     the pair as dup-suspect so query dedup engages.
-//   - mayDup marks a block that itself holds duplicate keys (a compaction
-//     output whose inputs were such crash leftovers).
-type blockMeta struct {
-	runID          uint64
-	baseSeq        uint64
-	srcMin, srcMax uint64
-	hasSrc         bool
-	mayDup         bool
-}
-
-const (
-	footerFlagMayDup   = 1 << 0
-	footerFlagSrcRange = 1 << 1
-)
-
-// footer payload layout, wrapped in a frame.Encode record with magic
-// "EXPF" and the schema key. Column names and kinds are not repeated here:
-// the schema key in the frame and the block header already pins them, so
-// the directory stores only geometry and statistics, mostly as uvarints —
-// footers are read for every block a query considers, pruned or not, and
-// their size is the floor of a selective query's byte cost.
-//
-//	u8  flags (bit 0 mayDup, bit 1 has source range)
-//	u64 writer run ID (little-endian)
-//	uv  base sequence
-//	[flag bit 1] uv source-min sequence, uv source range width
-//	uv  column count (must equal the schema's)
-//	per column, in schema order:
-//	  uv data offset, uv data length (byte region within the file)
-//	  u32 CRC-32C of the data region (little-endian)
-//	  kind-specific stats:
-//	    uint:  uv min, uv max-min
-//	    float: u64 min bits, u64 max bits (little-endian)
-//	    key:   32-byte min, 32-byte max
-//	    dict:  uv n, then n × (uv length, bytes), sorted ascending
-func encodeFooterPayload(bm blockMeta, metas []colMeta) []byte {
-	var b []byte
-	var flags byte
-	if bm.mayDup {
-		flags |= footerFlagMayDup
-	}
-	if bm.hasSrc {
-		flags |= footerFlagSrcRange
-	}
-	b = append(b, flags)
-	b = binary.LittleEndian.AppendUint64(b, bm.runID)
-	b = binary.AppendUvarint(b, bm.baseSeq)
-	if bm.hasSrc {
-		b = binary.AppendUvarint(b, bm.srcMin)
-		b = binary.AppendUvarint(b, bm.srcMax-bm.srcMin)
-	}
-	b = binary.AppendUvarint(b, uint64(len(metas)))
-	for i, m := range metas {
-		c := columns[i]
-		b = binary.AppendUvarint(b, uint64(m.off))
-		b = binary.AppendUvarint(b, uint64(m.length))
-		b = binary.LittleEndian.AppendUint32(b, m.crc)
-		switch c.kind {
-		case kindUint:
-			b = binary.AppendUvarint(b, m.minU)
-			b = binary.AppendUvarint(b, m.maxU-m.minU)
-		case kindFloat:
-			b = binary.LittleEndian.AppendUint64(b, m.minU)
-			b = binary.LittleEndian.AppendUint64(b, m.maxU)
-		case kindKey:
-			b = append(b, m.minK[:]...)
-			b = append(b, m.maxK[:]...)
-		case kindDict:
-			b = binary.AppendUvarint(b, uint64(len(m.dict)))
-			for _, s := range m.dict {
-				b = binary.AppendUvarint(b, uint64(len(s)))
-				b = append(b, s...)
-			}
-		}
-	}
-	return b
-}
-
-// decodeFooterPayload parses and validates a footer payload against the
-// compiled schema and the block geometry. Every field is bounds-checked:
-// this path is fuzzed with arbitrary bytes.
-func decodeFooterPayload(b []byte, h blockHeader) (blockMeta, []colMeta, error) {
-	cur := b
-	uv := func() (uint64, bool) {
-		v, n := binary.Uvarint(cur)
-		if n <= 0 {
-			return 0, false
-		}
-		cur = cur[n:]
-		return v, true
-	}
-	u32 := func() (uint32, bool) {
-		if len(cur) < 4 {
-			return 0, false
-		}
-		v := binary.LittleEndian.Uint32(cur)
-		cur = cur[4:]
-		return v, true
-	}
-	u64 := func() (uint64, bool) {
-		if len(cur) < 8 {
-			return 0, false
-		}
-		v := binary.LittleEndian.Uint64(cur)
-		cur = cur[8:]
-		return v, true
-	}
-	take := func(n int) ([]byte, bool) {
-		if n < 0 || len(cur) < n {
-			return nil, false
-		}
-		v := cur[:n]
-		cur = cur[n:]
-		return v, true
-	}
-	var bm blockMeta
-	fail := func(format string, args ...any) (blockMeta, []colMeta, error) {
-		return bm, nil, fmt.Errorf("%w: footer: %s", frame.ErrCorrupt, fmt.Sprintf(format, args...))
-	}
-
-	flagb, ok := take(1)
-	if !ok {
-		return fail("truncated at flags")
-	}
-	if flagb[0]&^(footerFlagMayDup|footerFlagSrcRange) != 0 {
-		return fail("unknown flags %02x", flagb[0])
-	}
-	bm.mayDup = flagb[0]&footerFlagMayDup != 0
-	bm.hasSrc = flagb[0]&footerFlagSrcRange != 0
-	run, ok1 := u64()
-	base, ok2 := uv()
-	if !ok1 || !ok2 {
-		return fail("truncated at writer lineage")
-	}
-	bm.runID, bm.baseSeq = run, base
-	if bm.hasSrc {
-		lo, ok1 := uv()
-		width, ok2 := uv()
-		if !ok1 || !ok2 || width > math.MaxUint64-lo {
-			return fail("bad source sequence range")
-		}
-		bm.srcMin, bm.srcMax = lo, lo+width
-	}
-	n, ok := uv()
-	if !ok || int(n) != len(columns) {
-		return fail("%d columns, schema has %d", n, len(columns))
-	}
-	metas := make([]colMeta, len(columns))
-	for i := range columns {
-		c := &columns[i]
-		off, ok1 := uv()
-		length, ok2 := uv()
-		crc, ok3 := u32()
-		if !ok1 || !ok2 || !ok3 {
-			return fail("truncated at column %q geometry", c.name)
-		}
-		if off < blockHeaderSize || off%colAlign != 0 ||
-			off > uint64(h.footerOff) || length > uint64(h.footerOff) ||
-			off+length > uint64(h.footerOff) {
-			return fail("column %q region [%d,+%d) outside data area", c.name, off, length)
-		}
-		m := &metas[i]
-		m.off, m.length, m.crc = int64(off), int64(length), crc
-		switch c.kind {
-		case kindUint:
-			mn, ok1 := uv()
-			width, ok2 := uv()
-			if !ok1 || !ok2 || width > math.MaxUint64-mn {
-				return fail("bad column %q stats", c.name)
-			}
-			m.minU, m.maxU = mn, mn+width
-		case kindFloat:
-			mn, ok1 := u64()
-			mx, ok2 := u64()
-			if !ok1 || !ok2 {
-				return fail("truncated at column %q stats", c.name)
-			}
-			m.minU, m.maxU = mn, mx
-			if int(length) != h.cells*8 {
-				return fail("float column %q length %d, want %d", c.name, length, h.cells*8)
-			}
-		case kindKey:
-			mn, ok1 := take(KeyBytes)
-			mx, ok2 := take(KeyBytes)
-			if !ok1 || !ok2 {
-				return fail("truncated at column %q stats", c.name)
-			}
-			copy(m.minK[:], mn)
-			copy(m.maxK[:], mx)
-			if int(length) != h.cells*KeyBytes {
-				return fail("key column %q length %d, want %d", c.name, length, h.cells*KeyBytes)
-			}
-		case kindDict:
-			dn, ok := uv()
-			if !ok || dn == 0 || dn > uint64(h.cells) {
-				return fail("column %q dictionary size %d for %d cells", c.name, dn, h.cells)
-			}
-			dict := make([]string, dn)
-			for j := range dict {
-				sl, ok := uv()
-				if !ok {
-					return fail("truncated in column %q dictionary", c.name)
-				}
-				sb, ok := take(int(sl))
-				if !ok {
-					return fail("truncated in column %q dictionary", c.name)
-				}
-				dict[j] = string(sb)
-				if j > 0 && dict[j] <= dict[j-1] {
-					return fail("column %q dictionary not sorted", c.name)
-				}
-			}
-			m.dict = dict
-		}
-	}
-	if len(cur) != 0 {
-		return fail("%d trailing bytes", len(cur))
-	}
-	return bm, metas, nil
-}
+// Every uvarint is in its shortest form, so a block decodes to exactly one
+// cell list and re-encodes to the same bytes.
+const blockMagic = "EXPR"
 
 // KeyBytes is the width of a cell content key.
 const KeyBytes = 32
 
-// encodeBlock lays out cells as one complete block file image. Cells are
-// written in the order given; callers sort batches by identity columns
-// first so footer statistics are tight.
-func encodeBlock(cells []Cell, bm blockMeta) ([]byte, error) {
-	if len(cells) == 0 {
-		return nil, fmt.Errorf("expstore: empty block")
-	}
-	metas := make([]colMeta, len(columns))
-	var data []byte // column regions, offset blockHeaderSize in the file
-	for i := range columns {
-		c := &columns[i]
-		for len(data)%colAlign != 0 {
-			data = append(data, 0)
-		}
-		start := len(data)
-		m := &metas[i]
+// blockVerdict sorts a block file, mirroring the tracestore trichotomy.
+type blockVerdict int
+
+const (
+	blockOK blockVerdict = iota
+	// blockCorrupt: truncated or failing its checksum — remove it; the
+	// cells reappear on the next sweep.
+	blockCorrupt
+	// blockForeign: another magic, format version or schema (every v1
+	// "EXPB" block) — skip it, never delete it.
+	blockForeign
+)
+
+// minRowBytes is the shortest encoded row, which bounds the cell count a
+// payload can claim.
+var minRowBytes = func() int {
+	n := 0
+	for _, c := range columns {
 		switch c.kind {
-		case kindDict:
-			seen := make(map[string]struct{})
-			for k := range cells {
-				seen[*c.str(&cells[k])] = struct{}{}
-			}
-			dict := make([]string, 0, len(seen))
-			for s := range seen {
-				dict = append(dict, s)
-			}
-			sort.Strings(dict)
-			idx := make(map[string]uint64, len(dict))
-			for j, s := range dict {
-				idx[s] = uint64(j)
-			}
-			for k := range cells {
-				data = binary.AppendUvarint(data, idx[*c.str(&cells[k])])
-			}
-			m.dict = dict
-		case kindUint:
-			var prev uint64
-			m.minU, m.maxU = math.MaxUint64, 0
-			for k := range cells {
-				v := *c.u64(&cells[k])
-				data = binary.AppendUvarint(data, zigzag(v-prev))
-				prev = v
-				m.minU = min(m.minU, v)
-				m.maxU = max(m.maxU, v)
-			}
 		case kindFloat:
-			mn, mx := math.Inf(1), math.Inf(-1)
-			for k := range cells {
-				v := *c.f64(&cells[k])
-				data = binary.LittleEndian.AppendUint64(data, math.Float64bits(v))
-				mn = math.Min(mn, v)
-				mx = math.Max(mx, v)
-			}
-			m.minU, m.maxU = math.Float64bits(mn), math.Float64bits(mx)
+			n += 8
 		case kindKey:
-			m.minK = *c.ckey(&cells[0])
-			m.maxK = m.minK
-			for k := range cells {
-				key := *c.ckey(&cells[k])
-				data = append(data, key[:]...)
-				if bytes.Compare(key[:], m.minK[:]) < 0 {
-					m.minK = key
-				}
-				if bytes.Compare(key[:], m.maxK[:]) > 0 {
-					m.maxK = key
-				}
-			}
+			n += KeyBytes
+		default:
+			n++ // a uvarint, or an empty string's length
 		}
-		m.off = int64(blockHeaderSize + start)
-		m.length = int64(len(data) - start)
-		m.crc = frame.Checksum(data[start:])
 	}
-	footer := frame.Encode(footerMagic, FormatVersion, schemaKey, encodeFooterPayload(bm, metas))
-	h := blockHeader{
-		cells:     len(cells),
-		footerOff: int64(blockHeaderSize + len(data)),
-		footerLen: int64(len(footer)),
-	}
-	out := make([]byte, 0, blockHeaderSize+len(data)+len(footer))
-	out = append(out, encodeBlockHeader(h)...)
-	out = append(out, data...)
-	out = append(out, footer...)
-	return out, nil
-}
-
-func zigzag(d uint64) uint64 {
-	return uint64((int64(d) << 1) ^ (int64(d) >> 63))
-}
-
-func unzigzag(z uint64) uint64 {
-	return uint64((int64(z) >> 1) ^ -(int64(z) & 1))
-}
-
-// openBlock validates the header and footer of a complete block image and
-// returns the parsed block metadata and column directory. The error
-// distinguishes foreign from corrupt via the verdict.
-func openBlock(buf []byte) (blockHeader, blockMeta, []colMeta, blockVerdict, error) {
-	h, v := parseBlockHeader(buf, int64(len(buf)))
-	if v != blockOK {
-		return h, blockMeta{}, nil, v, fmt.Errorf("%w: block header", frame.ErrCorrupt)
-	}
-	payload, err := frame.Decode(footerMagic, FormatVersion, schemaKey, buf[h.footerOff:h.footerOff+h.footerLen])
-	if err != nil {
-		return h, blockMeta{}, nil, blockCorrupt, err
-	}
-	bm, metas, err := decodeFooterPayload(payload, h)
-	if err != nil {
-		return h, bm, nil, blockCorrupt, err
-	}
-	return h, bm, metas, blockOK, nil
-}
-
-// colRegion returns a column's checked data region within the mapping.
-func colRegion(buf []byte, m *colMeta) ([]byte, error) {
-	region := buf[m.off : m.off+m.length]
-	if got := frame.Checksum(region); got != m.crc {
-		return nil, fmt.Errorf("%w: column checksum %08x, want %08x", frame.ErrCorrupt, got, m.crc)
-	}
-	return region, nil
-}
-
-// materializeDict decodes a dictionary column to per-cell dictionary
-// indices. The dictionary itself lives in the footer meta.
-func materializeDict(buf []byte, m *colMeta, cells int) ([]uint32, error) {
-	region, err := colRegion(buf, m)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]uint32, cells)
-	for i := range out {
-		v, n := binary.Uvarint(region)
-		if n <= 0 || v >= uint64(len(m.dict)) {
-			return nil, fmt.Errorf("%w: bad dictionary index at cell %d", frame.ErrCorrupt, i)
-		}
-		out[i] = uint32(v)
-		region = region[n:]
-	}
-	if len(region) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes in dictionary column", frame.ErrCorrupt, len(region))
-	}
-	return out, nil
-}
-
-// materializeUint decodes a zigzag-delta column to per-cell values.
-func materializeUint(buf []byte, m *colMeta, cells int) ([]uint64, error) {
-	region, err := colRegion(buf, m)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]uint64, cells)
-	var prev uint64
-	for i := range out {
-		z, n := binary.Uvarint(region)
-		if n <= 0 {
-			return nil, fmt.Errorf("%w: bad varint at cell %d", frame.ErrCorrupt, i)
-		}
-		prev += unzigzag(z)
-		out[i] = prev
-		region = region[n:]
-	}
-	if len(region) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes in uint column", frame.ErrCorrupt, len(region))
-	}
-	return out, nil
-}
-
-// nativeLE reports whether the host is little-endian, probed once; on LE
-// hosts fixed-width columns are served zero-copy from the mapping.
-var nativeLE = func() bool {
-	probe := uint64(0x01)
-	return *(*byte)(unsafe.Pointer(&probe)) == 0x01
+	return n
 }()
 
-// materializeFloat returns a column's float64 values. On little-endian
-// hosts the returned slice aliases the mapping (the 8-byte alignment of
-// column regions over the page-aligned header makes the view exact); other
-// hosts decode a copy.
-func materializeFloat(buf []byte, m *colMeta, cells int) ([]float64, error) {
-	region, err := colRegion(buf, m)
-	if err != nil {
-		return nil, err
-	}
-	if len(region) != cells*8 {
-		return nil, fmt.Errorf("%w: float column length %d, want %d", frame.ErrCorrupt, len(region), cells*8)
-	}
-	if cells == 0 {
-		return nil, nil
-	}
-	if nativeLE && uintptr(unsafe.Pointer(&region[0]))%8 == 0 {
-		return unsafe.Slice((*float64)(unsafe.Pointer(&region[0])), cells), nil
-	}
-	out := make([]float64, cells)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(region[i*8:]))
-	}
-	return out, nil
-}
-
-// materializeKeys returns a column's 32-byte keys, zero-copy from the
-// mapping (byte arrays have no alignment or endianness constraints).
-func materializeKeys(buf []byte, m *colMeta, cells int) ([]Key, error) {
-	region, err := colRegion(buf, m)
-	if err != nil {
-		return nil, err
-	}
-	if len(region) != cells*KeyBytes {
-		return nil, fmt.Errorf("%w: key column length %d, want %d", frame.ErrCorrupt, len(region), cells*KeyBytes)
-	}
-	if cells == 0 {
-		return nil, nil
-	}
-	return unsafe.Slice((*Key)(unsafe.Pointer(&region[0])), cells), nil
-}
-
-// DecodeBlock fully decodes a block image back to its cells, in block
-// order. This is the brute-force path: full scans, compaction, and the
-// fuzz target go through it.
-func DecodeBlock(buf []byte) ([]Cell, error) {
-	h, _, metas, v, err := openBlock(buf)
-	if v == blockForeign {
-		return nil, fmt.Errorf("expstore: foreign block: %w", err)
-	}
-	if err != nil {
-		return nil, err
-	}
-	cells := make([]Cell, h.cells)
-	for i := range columns {
-		c := &columns[i]
-		switch c.kind {
-		case kindDict:
-			idx, err := materializeDict(buf, &metas[i], h.cells)
-			if err != nil {
-				return nil, err
-			}
-			for k := range cells {
-				*c.str(&cells[k]) = metas[i].dict[idx[k]]
-			}
-		case kindUint:
-			vals, err := materializeUint(buf, &metas[i], h.cells)
-			if err != nil {
-				return nil, err
-			}
-			for k := range cells {
-				*c.u64(&cells[k]) = vals[k]
-			}
-		case kindFloat:
-			vals, err := materializeFloat(buf, &metas[i], h.cells)
-			if err != nil {
-				return nil, err
-			}
-			for k := range cells {
-				*c.f64(&cells[k]) = vals[k]
-			}
-		case kindKey:
-			keys, err := materializeKeys(buf, &metas[i], h.cells)
-			if err != nil {
-				return nil, err
-			}
-			for k := range cells {
-				*c.ckey(&cells[k]) = keys[k]
+// EncodeBlock lays out cells as one complete block file image.
+func EncodeBlock(cells []Cell) []byte {
+	b := binary.AppendUvarint(nil, uint64(len(cells)))
+	for i := range cells {
+		c := &cells[i]
+		for j := range columns {
+			col := &columns[j]
+			switch col.kind {
+			case kindString:
+				s := *col.str(c)
+				b = binary.AppendUvarint(b, uint64(len(s)))
+				b = append(b, s...)
+			case kindUint:
+				b = binary.AppendUvarint(b, *col.u64(c))
+			case kindFloat:
+				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(*col.f64(c)))
+			case kindKey:
+				k := col.ckey(c)
+				b = append(b, k[:]...)
 			}
 		}
 	}
+	return frame.Encode(blockMagic, FormatVersion, schemaKey, b)
+}
+
+// DecodeBlock decodes a block image back to its cells, in block order. A
+// foreign or corrupt block is an error.
+func DecodeBlock(buf []byte) ([]Cell, error) {
+	rows, n, _, err := openBlock(buf)
+	if err != nil {
+		return nil, err
+	}
+	cells := make([]Cell, n)
+	if err := decodeRows(rows, cells, nil); err != nil {
+		return nil, err
+	}
 	return cells, nil
+}
+
+// openBlock checks a block image's frame and returns its rows and cell
+// count, or the verdict on a block it cannot serve.
+func openBlock(buf []byte) (rows []byte, n int, v blockVerdict, err error) {
+	const keyOff = 8 // magic, version
+	if len(buf) >= 4 && string(buf[:4]) != blockMagic {
+		return nil, 0, blockForeign, fmt.Errorf("expstore: foreign block: magic %q", buf[:4])
+	}
+	if len(buf) >= keyOff && binary.LittleEndian.Uint32(buf[4:8]) != FormatVersion {
+		return nil, 0, blockForeign, fmt.Errorf("expstore: foreign block: format version %d", binary.LittleEndian.Uint32(buf[4:8]))
+	}
+	if len(buf) >= keyOff+KeyBytes && string(buf[keyOff:keyOff+KeyBytes]) != string(schemaKey[:]) {
+		return nil, 0, blockForeign, fmt.Errorf("expstore: foreign block: schema %x", buf[keyOff:keyOff+KeyBytes])
+	}
+	payload, err := frame.Decode(blockMagic, FormatVersion, schemaKey, buf)
+	if err != nil {
+		return nil, 0, blockCorrupt, err
+	}
+	count, rows, ok := uvarint(payload)
+	if !ok || count == 0 || count > uint64(len(rows)/minRowBytes) {
+		return nil, 0, blockCorrupt, fmt.Errorf("%w: bad cell count", frame.ErrCorrupt)
+	}
+	return rows, int(count), blockOK, nil
+}
+
+// uvarint reads one shortest-form uvarint off the front of b.
+func uvarint(b []byte) (uint64, []byte, bool) {
+	v, n := binary.Uvarint(b)
+	if n <= 0 || (n > 1 && b[n-1] == 0) { // truncated, overflowing or padded
+		return 0, nil, false
+	}
+	return v, b[n:], true
+}
+
+// decodeRows decodes exactly len(dst) rows into dst. Strings are interned
+// through intern, when given, so a loaded row set holds each distinct
+// trace, variant or build name once. Every read is bounds-checked: this
+// path is fuzzed with arbitrary bytes.
+func decodeRows(b []byte, dst []Cell, intern map[string]string) error {
+	for i := range dst {
+		c := &dst[i]
+		*c = Cell{}
+		for j := range columns {
+			col := &columns[j]
+			var ok bool
+			switch col.kind {
+			case kindString:
+				var n uint64
+				if n, b, ok = uvarint(b); ok && n <= uint64(len(b)) {
+					s, seen := intern[string(b[:n])]
+					if !seen {
+						s = string(b[:n])
+						if intern != nil {
+							intern[s] = s
+						}
+					}
+					*col.str(c), b = s, b[n:]
+				} else {
+					ok = false
+				}
+			case kindUint:
+				*col.u64(c), b, ok = uvarint(b)
+			case kindFloat:
+				if ok = len(b) >= 8; ok {
+					*col.f64(c), b = math.Float64frombits(binary.LittleEndian.Uint64(b)), b[8:]
+				}
+			case kindKey:
+				if ok = len(b) >= KeyBytes; ok {
+					*col.ckey(c), b = Key(b[:KeyBytes]), b[KeyBytes:]
+				}
+			}
+			if !ok {
+				return fmt.Errorf("%w: row %d: bad %s", frame.ErrCorrupt, i, col.name)
+			}
+		}
+	}
+	if len(b) != 0 {
+		return fmt.Errorf("%w: %d bytes after the last row", frame.ErrCorrupt, len(b))
+	}
+	return nil
 }

@@ -1,19 +1,15 @@
-// Package expstore is the append-only columnar store for sweep result
-// cells — the (trace × variant × config) matrix a production deployment
-// accumulates and explores interactively. Each block file holds a batch of
-// cells column-major: dictionary encoding for low-cardinality strings,
-// zigzag-delta varints for counters, raw fixed-width IEEE-754 for floats,
-// and raw 32-byte content keys. A CRC-32C-checked footer carries per-column
-// min/max/dictionary statistics, so a query prunes whole blocks from their
-// footers and materializes only the columns it references; the header page
-// is 4 KiB so the column data region is page-aligned and blocks are
-// mmap-served, sharing page-cache residency across queries and processes.
+// Package expstore is the append-only store for sweep result cells — the
+// (trace × variant × config) matrix a production deployment accumulates
+// and explores interactively. A block file is one self-validating frame
+// record (magic, format version, schema key, CRC-32C) over a batch of
+// rows, each row the cell's columns in schema order. The first read loads
+// every block once into one in-memory row set, deduplicated by content
+// key; lookups, read-back and queries all answer from that set.
 //
-// The store follows the tracestore discipline: a Corrupt header or a
-// failed column checksum discards the block (removed, warned, counted —
-// the cells are re-appended by the next sweep), a Foreign one (other
-// format version or schema) is skipped but left in place, and concurrent
-// block mappings are shared through a single-flight residency layer.
+// The store follows the tracestore discipline: a truncated block or one
+// whose checksum fails is corrupt (removed, warned, counted — the cells
+// are re-appended by the next sweep), and a block of another format
+// version or schema is foreign (skipped, warned, counted, left in place).
 package expstore
 
 import (
@@ -23,9 +19,9 @@ import (
 )
 
 // FormatVersion identifies the on-disk block layout. Bump it for any
-// change to the header, footer, or column encodings; old-version files
-// then read as foreign and are ignored.
-const FormatVersion = 1
+// change to the row encoding; old-version files then read as foreign and
+// are ignored, as every version 1 block (magic "EXPB") is.
+const FormatVersion = 2
 
 // Key is the 32-byte content address of a cell — the same result-cache key
 // the sweep engine uses, so a store cell and its cache entry corroborate
@@ -68,22 +64,17 @@ type Cell struct {
 	Conv core.Stats
 }
 
-// colKind selects a column's encoding and footer statistics.
+// colKind selects a column's type and its encoding within a row.
 type colKind uint8
 
 const (
-	// kindDict: dictionary-encoded string. The footer holds the block's
-	// sorted distinct values; the data region holds one uvarint dictionary
-	// index per cell. The dictionary doubles as the pruning statistic.
-	kindDict colKind = 1
-	// kindUint: zigzag-delta uvarint uint64. Footer stats: min, max.
+	// kindString: a uvarint length, then the bytes.
+	kindString colKind = 1
+	// kindUint: a uvarint.
 	kindUint colKind = 2
-	// kindFloat: raw little-endian IEEE-754 float64, 8-byte aligned so a
-	// mapped block serves the column as a zero-copy []float64 view on
-	// little-endian hosts. Footer stats: min, max.
+	// kindFloat: the little-endian IEEE-754 bits, 8 bytes.
 	kindFloat colKind = 3
-	// kindKey: raw 32-byte content key per cell. Footer stats:
-	// lexicographic min, max.
+	// kindKey: the 32 raw bytes of a content key.
 	kindKey colKind = 4
 )
 
@@ -99,8 +90,8 @@ type column struct {
 	ckey func(*Cell) *Key
 }
 
-func dictCol(name string, f func(*Cell) *string) column {
-	return column{name: name, kind: kindDict, str: f}
+func strCol(name string, f func(*Cell) *string) column {
+	return column{name: name, kind: kindString, str: f}
 }
 func uintCol(name string, f func(*Cell) *uint64) column {
 	return column{name: name, kind: kindUint, u64: f}
@@ -109,23 +100,24 @@ func floatCol(name string, f func(*Cell) *float64) column {
 	return column{name: name, kind: kindFloat, f64: f}
 }
 
-// columns is the schema, in on-disk column order. The identity columns
+// columns is the schema, in row order: it drives the row codec, the
+// query language's column names and the schema key. The identity columns
 // lead, then the headline metric, then the full simulator and converter
 // counter sets. TestSchemaCoversStats pins this list against the Stats
 // structs by reflection: adding a field to sim.Stats or core.Stats without
 // a column here fails that test rather than silently dropping data.
 var columns = []column{
-	dictCol("trace", func(c *Cell) *string { return &c.Trace }),
-	dictCol("category", func(c *Cell) *string { return &c.Category }),
-	dictCol("variant", func(c *Cell) *string { return &c.Variant }),
-	dictCol("config", func(c *Cell) *string { return &c.Config }),
-	dictCol("prefetcher", func(c *Cell) *string { return &c.Prefetcher }),
+	strCol("trace", func(c *Cell) *string { return &c.Trace }),
+	strCol("category", func(c *Cell) *string { return &c.Category }),
+	strCol("variant", func(c *Cell) *string { return &c.Variant }),
+	strCol("config", func(c *Cell) *string { return &c.Config }),
+	strCol("prefetcher", func(c *Cell) *string { return &c.Prefetcher }),
 	uintCol("rob", func(c *Cell) *uint64 { return &c.ROB }),
 	uintCol("cores", func(c *Cell) *uint64 { return &c.Cores }),
 	uintCol("sample_period", func(c *Cell) *uint64 { return &c.SamplePeriod }),
 	uintCol("instructions", func(c *Cell) *uint64 { return &c.Instructions }),
 	uintCol("warmup", func(c *Cell) *uint64 { return &c.Warmup }),
-	dictCol("build", func(c *Cell) *string { return &c.Build }),
+	strCol("build", func(c *Cell) *string { return &c.Build }),
 	{name: "key", kind: kindKey, ckey: func(c *Cell) *Key { return &c.Key }},
 	floatCol("ipc", func(c *Cell) *float64 { return &c.IPC }),
 
@@ -196,9 +188,9 @@ var colIndex = func() map[string]int {
 }()
 
 // schemaKey is the content hash of the schema — column names, kinds, and
-// order, under the format version. It is embedded in every block header
-// and footer frame, so a block written by a build with a different schema
-// reads as foreign rather than mis-decoding.
+// order, under the format version. It is the key of every block's frame,
+// so a block written by a build with a different schema reads as foreign
+// rather than mis-decoding.
 var schemaKey = func() Key {
 	h := resultcache.NewHasher("tracerebase/expstore-schema").U64(FormatVersion)
 	for _, c := range columns {
@@ -206,16 +198,6 @@ var schemaKey = func() Key {
 	}
 	return h.Sum()
 }()
-
-// ColumnNames lists the schema's column names in on-disk order, for
-// query-language help output.
-func ColumnNames() []string {
-	out := make([]string, len(columns))
-	for i, c := range columns {
-		out[i] = c.name
-	}
-	return out
-}
 
 // NumericColumn reports whether name is a queryable numeric column (uint
 // or float) — a valid metric for queries.

@@ -42,12 +42,11 @@ func expandAliases(src string) string {
 }
 
 // Query parses src (with variant aliases expanded) and executes it against
-// the experiment store — block-pruned by default, or by brute-force full
-// scan when fullScan is set (the comparison baseline: identical rows, no
-// pruning, every byte read). Unless src names the build column in a filter
-// or in group-by, only cells of the running build are counted: cell keys
-// include the build fingerprint, so cells of two builds never dedup
-// against each other and would otherwise be counted twice.
+// the experiment store. fullScan is ignored: the store has one query path.
+// Unless src names the build column in a filter or in group-by, only
+// cells of the running build are counted: cell keys include the build
+// fingerprint, so cells of two builds never dedup against each other and
+// would otherwise be counted twice.
 func Query(store *expstore.Store, src string, fullScan bool) (*expstore.Result, error) {
 	q, err := expstore.ParseQuery(expandAliases(src))
 	if err != nil {
@@ -60,14 +59,11 @@ func Query(store *expstore.Store, src string, fullScan bool) (*expstore.Result, 
 	if !namesBuild {
 		q.Filters = append(q.Filters, expstore.Filter{Col: "build", Vals: []string{resultcache.Fingerprint()}})
 	}
-	if fullScan {
-		return store.FullScan(q)
-	}
 	return store.Query(q)
 }
 
 // RenderQuery prints a query result as an aligned text table with a
-// scan-statistics trailer.
+// trailer counting rows and cells.
 func RenderQuery(w io.Writer, res *expstore.Result) {
 	headers := append(append([]string{}, res.GroupBy...), "n")
 	for _, st := range res.StatNames {
@@ -102,9 +98,7 @@ func RenderQuery(w io.Writer, res *expstore.Result) {
 		line(cells)
 	}
 	st := res.Stats
-	fmt.Fprintf(w, "  -- %d rows; blocks %d/%d pruned, %d scanned; read %d of %d bytes (%d columns); cells %d scanned, %d matched\n",
-		len(res.Rows), st.BlocksPruned, st.BlocksTotal, st.BlocksScanned,
-		st.BytesRead, st.BytesTotal, st.ColumnsRead, st.CellsScanned, st.CellsMatched)
+	fmt.Fprintf(w, "  -- %d rows; cells %d scanned, %d matched\n", len(res.Rows), st.CellsScanned, st.CellsMatched)
 }
 
 // queryJSON is the wire form of a query result, shared by `rebase query

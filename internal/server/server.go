@@ -281,10 +281,9 @@ func (s *Server) StatusSnapshot() Status {
 	}
 }
 
-// handleQuery is GET /query?q=<query string>: run a block-pruned query
-// over the daemon's experiment store — cells recorded by every job it has
-// executed — and return the rows as JSON. ?full-scan=1 forces the
-// brute-force baseline.
+// handleQuery is GET /query?q=<query string>: run a query over the
+// daemon's experiment store — cells recorded by every job it has executed
+// — and return the rows as JSON. Other parameters are ignored.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
@@ -299,7 +298,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "missing ?q=<query string>", http.StatusBadRequest)
 		return
 	}
-	res, err := report.Query(s.base.Exp, q, r.URL.Query().Get("full-scan") == "1")
+	res, err := report.Query(s.base.Exp, q, false)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
