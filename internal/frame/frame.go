@@ -1,7 +1,7 @@
 // Package frame holds the self-validating record framing shared by every
 // on-disk store in the tree: the result cache's TRRC records (and their
 // HTTP wire form), the compiled-trace slab store's checksums, and the
-// experiment store's block footers. A frame binds a payload to the 32-byte
+// experiment store's blocks. A frame binds a payload to the 32-byte
 // content key it was stored under — magic, version, embedded key, length,
 // and a CRC-32C over the payload — so a renamed, truncated, bit-flipped,
 // or misrouted record reads as corrupt instead of as data.
