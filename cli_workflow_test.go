@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -101,6 +102,44 @@ func TestCLIFrontEnd(t *testing.T) {
 				t.Errorf("rebase %q: exit %d, want %d\n%s", tc.args, code, tc.code, stderr)
 			case code != 0 && (stdout != "" || !strings.Contains(stderr, tc.names)):
 				t.Errorf("rebase %q: stdout %q, stderr %q; want no output and an error naming %q", tc.args, stdout, stderr, tc.names)
+			}
+		}
+	})
+
+	// `rebase submit` rejects what `rebase` rejects, and each zero the
+	// daemon would read as its default, before it sends anything: -url
+	// names a port nothing listens on, which only the accepted request
+	// reaches.
+	t.Run("submit flags", func(t *testing.T) {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		url := "http://" + l.Addr().String()
+		l.Close()
+		for _, tc := range []struct {
+			args  []string
+			names string // what stderr must contain; "" for an accepted request
+		}{
+			{args: []string{"-warmup", "0"}, names: "-warmup 0 cannot be submitted"},
+			{args: []string{"-sample", "-sample-warm", "0"}, names: "-sample-warm 0 cannot be submitted"},
+			{args: []string{"-exp", ""}, names: `-exp "" cannot be submitted`},
+			{args: []string{"-exp", "fig1,tabel2"}, names: `unknown experiment "tabel2"`},
+			{args: []string{"-step", "0"}, names: "-step must be >= 1"},
+			{args: []string{"-instructions", "1000", "-warmup", "1000"}, names: "-warmup 1000 >= -instructions 1000"},
+			{args: []string{"-sample", "-sample-detail", "0"}, names: "-sample-detail 0 must be positive"},
+			{args: []string{"-exp", "fig1", "-sample", "-sample-warm", "1"}},
+		} {
+			args := append([]string{"submit", "-q", "-url", url}, tc.args...)
+			stdout, stderr, code := run(args...)
+			sent := strings.Contains(stderr, "/jobs")
+			switch {
+			case code != 1 || stdout != "":
+				t.Errorf("rebase %q: exit %d, stdout %q, stderr %q; want exit 1 and no output", args, code, stdout, stderr)
+			case tc.names == "" && !sent:
+				t.Errorf("rebase %q: stderr %q; want the accepted request posted to %s", args, stderr, url)
+			case tc.names != "" && (sent || !strings.Contains(stderr, tc.names)):
+				t.Errorf("rebase %q: stderr %q; want a rejection naming %q before any request", args, stderr, tc.names)
 			}
 		}
 	})

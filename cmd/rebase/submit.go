@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 
+	"tracerebase/internal/report"
 	"tracerebase/internal/server"
 )
 
@@ -13,7 +14,7 @@ import (
 // posts a job, follows the NDJSON event stream, writes the assembled
 // output to stdout (byte-identical to the batch CLI), and reports which
 // tier served it on stderr. It takes exactly the batch CLI's request
-// flags; the daemon checks the request.
+// flags and rejects what the batch CLI rejects before it posts.
 func runSubmit(args []string) int {
 	fs := flag.NewFlagSet("rebase submit", flag.ExitOnError)
 	spec := requestFlags(fs)
@@ -36,6 +37,9 @@ func runSubmit(args []string) int {
 		return 0
 	}
 
+	if err := checkSubmit(*spec); err != nil {
+		return fail("submit: %v", err)
+	}
 	if !*quiet {
 		client.OnEvent = func(ev server.Event) {
 			switch ev.Type {
@@ -58,4 +62,24 @@ func runSubmit(args []string) int {
 		fmt.Fprintf(os.Stderr, "served: %s in %.6fs\n", res.Served, res.ServerSeconds)
 	}
 	return 0
+}
+
+// checkSubmit rejects what `rebase` rejects, and each value a POST /jobs
+// body cannot carry: the daemon reads a zero warm-up, a zero sampled
+// warm-up and an empty experiment list as absent, so as the default, and
+// would run a different request than `rebase` with the same flags.
+func checkSubmit(s report.Spec) error {
+	if err := s.ValidateFlags(); err != nil {
+		return err
+	}
+	d := report.Defaults()
+	switch {
+	case s.Warmup == 0:
+		return fmt.Errorf("-warmup 0 cannot be submitted: the daemon reads it as the default %d", d.Warmup)
+	case s.Sample && s.SampleWarm == 0:
+		return fmt.Errorf("-sample-warm 0 cannot be submitted: the daemon reads it as the default %d", d.SampleWarm)
+	case s.Exp == "":
+		return fmt.Errorf("-exp \"\" cannot be submitted: the daemon reads it as the default %q", d.Exp)
+	}
+	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"tracerebase/internal/champtrace"
+	"tracerebase/internal/core"
 	"tracerebase/internal/cvp"
 	"tracerebase/internal/expstore"
 	"tracerebase/internal/synth"
@@ -223,8 +224,8 @@ func FuzzConvert(f *testing.F) {
 		if len(instrs) == 0 {
 			return
 		}
-		if err := CheckConvertPaths(instrs, optionsFromBits(optBits)); err != nil {
-			t.Fatalf("convert paths diverge under %s: %v", optionsFromBits(optBits), err)
+		if err := CheckConvertPaths(instrs, core.OptionsFromBits(optBits)); err != nil {
+			t.Fatalf("convert paths diverge under %s: %v", core.OptionsFromBits(optBits), err)
 		}
 	})
 }

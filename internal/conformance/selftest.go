@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"tracerebase/internal/champtrace"
-	"tracerebase/internal/core"
 	"tracerebase/internal/cvp"
 	"tracerebase/internal/experiments"
 	"tracerebase/internal/synth"
@@ -162,44 +161,25 @@ func SelfTest(cfg SelfTestConfig) error {
 		return CheckCacheMonotonic(cacheProfile, cfg.SimInstructions, cfg.Warmup)
 	})
 
-	// 4. Result-cache transparency: cached, warm, and corruption-recovery
-	// sweeps must render byte-identically to the uncached engine.
-	resultCacheProfiles := []synth.Profile{
+	// 4. Store transparency: the result cache, its tiers, the slab store
+	// and the experiment store must each be invisible in the output. One
+	// store-off sweep is the reference for every store's cold, warm and
+	// damaged sweeps (stores.go); each store reports one line.
+	storeProfiles := []synth.Profile{
 		synth.PublicProfile(synth.ComputeInt, 3),
 		synth.PublicProfile(synth.Server, 5),
 	}
-	r.run(fmt.Sprintf("result cache: uncached vs cold vs warm vs corrupted sweeps of %d traces byte-identical",
-		len(resultCacheProfiles)), func() error {
-		return CheckCacheTransparency(resultCacheProfiles, cfg.SimInstructions, cfg.Warmup)
-	})
-	r.run(fmt.Sprintf("cache tiers: off vs cold vs warm-memory vs warm-remote sweeps of %d traces byte-identical",
-		len(resultCacheProfiles)), func() error {
-		return CheckTierTransparency(resultCacheProfiles, cfg.SimInstructions, cfg.Warmup)
-	})
+	ref, refErr := newStoreRef(storeProfiles, cfg.SimInstructions, cfg.Warmup)
+	for _, row := range storeRows() {
+		r.run(row.store+": "+fmt.Sprintf(row.title, len(storeProfiles)), func() error {
+			if refErr != nil {
+				return refErr
+			}
+			return row.check(ref)
+		})
+	}
 
-	// 5. Slab-store transparency: sweeps fed from the compiled-trace store
-	// — cold, warm (second process), and with a slab corrupted or truncated
-	// on disk — must render byte-identically to the streaming engine, with
-	// damaged slabs discarded and reconverted, never served.
-	r.run(fmt.Sprintf("trace store: store-off vs cold vs warm vs corrupted vs truncated sweeps of %d traces byte-identical",
-		len(resultCacheProfiles)), func() error {
-		return CheckSlabTransparency(resultCacheProfiles, cfg.SimInstructions, cfg.Warmup)
-	})
-
-	// 6. Experiment-store transparency: sweeps that append every result
-	// cell to the experiment store and read their results back out of it —
-	// cold, warm (second process, full dedup), and with a block corrupted
-	// on disk — must render byte-identically to the store-off engine, with
-	// damaged blocks discarded, warned about, and their cells re-appended;
-	// with a result cache alongside, the store serves every cell it holds
-	// before dispatch and only a corrupted block's cells fall through;
-	// queries must match aggregates computed from the sweep itself.
-	r.run(fmt.Sprintf("exp store: store-off vs cold vs warm vs store-served vs corrupted sweeps of %d traces byte-identical, queries == sweep aggregates",
-		len(resultCacheProfiles)), func() error {
-		return CheckExpStoreTransparency(resultCacheProfiles, cfg.SimInstructions, cfg.Warmup)
-	})
-
-	// 7. Cycle-skip transparency: sweeps over the golden-corpus profiles
+	// 5. Cycle-skip transparency: sweeps over the golden-corpus profiles
 	// with event-horizon skipping enabled must be byte-identical to
 	// -no-skip on both the develop and IPC-1 models.
 	r.run(fmt.Sprintf("cycle skipping: skip-on vs -no-skip sweeps of %d traces byte-identical (develop + ipc1)",
@@ -207,7 +187,7 @@ func SelfTest(cfg SelfTestConfig) error {
 		return CheckCycleSkipTransparency(goldenProfiles(), cfg.SimInstructions, cfg.Warmup)
 	})
 
-	// 8. Sampling: sampled runs must replay deterministically, key apart
+	// 6. Sampling: sampled runs must replay deterministically, key apart
 	// from exact results, and stay scheduling-independent under parallel
 	// sweeps. The accuracy of sampled IPC itself is pinned by the golden
 	// corpus (step 1).
@@ -230,7 +210,7 @@ func SelfTest(cfg SelfTestConfig) error {
 		return CheckSampledParallelism(sweepProfiles, cfg.SimInstructions, cfg.Warmup, sweepPar)
 	})
 
-	// 9. Multi-core: the N-core lockstep engine must degenerate exactly to
+	// 7. Multi-core: the N-core lockstep engine must degenerate exactly to
 	// the single-core behavior (idle neighbors), stay scheduling- and
 	// label-independent, and keep cycle skipping invisible at N > 1.
 	idleProfile := synth.PublicProfile(synth.ComputeInt, 1)
@@ -247,7 +227,7 @@ func SelfTest(cfg SelfTestConfig) error {
 		return CheckMultiSkipTransparency("thrash", 2, cfg.SimInstructions, cfg.Warmup)
 	})
 
-	// 10. User-supplied traces.
+	// 8. User-supplied traces.
 	for _, path := range cfg.TraceFiles {
 		rep, err := ValidateTraceFile(path)
 		if err != nil {
@@ -386,8 +366,3 @@ func encodeCVP(instrs []cvp.Instruction) ([]byte, error) {
 	}
 	return buf.Bytes(), nil
 }
-
-// optionsFromBits maps the low six bits of b onto the six improvement
-// flags — the encoding the convert fuzzer uses to explore option space.
-// It is core's canonical packing, shared with the result cache's keys.
-func optionsFromBits(b uint8) core.Options { return core.OptionsFromBits(b) }
